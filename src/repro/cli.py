@@ -30,9 +30,7 @@ The flag surface is normalized across subcommands: ``--jobs``,
 behave identically everywhere they appear (``run``/``sweep``/``mac``
 write them, ``report`` reads them back, ``bench`` writes
 ``--metrics-json``, ``submit --wait`` writes ``--metrics-json`` from
-the fetched result).  Older spellings (``--n-jobs``, ``--metrics``,
-``--trace-file``, ``--resume``) still parse as hidden deprecated
-aliases and warn on stderr.
+the fetched result).
 
 Robustness and observability flags (run/sweep/mac):
 
@@ -106,44 +104,25 @@ def _positive_int(text: str) -> int:
 # -- normalized shared flags ----------------------------------------------
 # One definition per shared flag: every subcommand that offers --jobs,
 # --metrics-json, --trace, or --checkpoint registers it from this table,
-# so spelling, type, metavar, and the deprecated aliases cannot drift
-# between subcommands.  Help text may be overridden where the flag is an
-# input rather than an output (repro report), but never the rest.
-
-class _DeprecatedAlias(argparse.Action):
-    """Hidden alias that stores into the canonical dest and warns."""
-
-    def __init__(self, option_strings: List[str], dest: str,
-                 canonical: str = "", **kwargs: Any) -> None:
-        self.canonical = canonical
-        super().__init__(option_strings, dest, **kwargs)
-
-    def __call__(self, parser: argparse.ArgumentParser,
-                 namespace: argparse.Namespace, values: Any,
-                 option_string: Optional[str] = None) -> None:
-        print(f"warning: {option_string} is deprecated; "
-              f"use {self.canonical}", file=sys.stderr)
-        setattr(namespace, self.dest, values)
-
+# so spelling, type and metavar cannot drift between subcommands.  Help
+# text may be overridden where the flag is an input rather than an
+# output (repro report), but never the rest.
 
 _SHARED_FLAGS: Dict[str, Dict[str, Any]] = {
     "jobs": {
         "flag": "--jobs",
-        "aliases": ("--n-jobs",),
         "kwargs": {"type": _positive_int, "default": 1,
                    "help": "worker processes (results are identical "
                            "for any value)"},
     },
     "metrics-json": {
         "flag": "--metrics-json",
-        "aliases": ("--metrics",),
         "kwargs": {"metavar": "PATH", "default": None,
                    "help": "write stage timers / retry counters / "
                            "task records as JSON ('-' for stdout)"},
     },
     "trace": {
         "flag": "--trace",
-        "aliases": ("--trace-file",),
         "kwargs": {"metavar": "PATH", "default": None,
                    "help": "write a JSONL trace (spans, retry events, "
                            "sampled per-packet forensics) keyed by the "
@@ -151,7 +130,6 @@ _SHARED_FLAGS: Dict[str, Dict[str, Any]] = {
     },
     "checkpoint": {
         "flag": "--checkpoint",
-        "aliases": ("--resume",),
         "kwargs": {"metavar": "PATH", "default": None,
                    "help": "JSONL journal of completed points; an "
                            "interrupted run resumes from it "
@@ -166,15 +144,6 @@ def _add_shared(parser: argparse.ArgumentParser, name: str,
     kwargs = dict(entry["kwargs"])
     kwargs.update(overrides)
     parser.add_argument(entry["flag"], **kwargs)
-    dest = entry["flag"].lstrip("-").replace("-", "_")
-    alias_kwargs: Dict[str, Any] = {"action": _DeprecatedAlias,
-                                    "canonical": entry["flag"],
-                                    "dest": dest,
-                                    "help": argparse.SUPPRESS}
-    if "type" in kwargs:
-        alias_kwargs["type"] = kwargs["type"]
-    for alias in entry["aliases"]:
-        parser.add_argument(alias, **alias_kwargs)
 
 
 def _add_engine_options(parser: argparse.ArgumentParser) -> None:

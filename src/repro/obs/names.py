@@ -84,6 +84,9 @@ TIMERS: Tuple[str, ...] = (
 #: exposition layer lets the histogram supersede the timer's summary
 #: family, so both can record from one ``timed(..., hist=...)`` site.
 HISTOGRAMS: Tuple[str, ...] = (
+    # One observation per finished task: its TaskRecord.duration_s.  A
+    # task from a multi-task shard reports the shard's wall time divided
+    # by the shard's task count.
     "engine.task.seconds",
     "phy.*.channel.seconds",
     "phy.*.decode.seconds",

@@ -160,7 +160,10 @@ def _forensics_section(record: Mapping[str, Any], fmt: str) -> List[str]:
 
 
 def _batching_section(record: Mapping[str, Any], fmt: str) -> List[str]:
-    """Surface the batch-path health counters, most importantly the
+    """Surface the batch-path health counters: ``engine.batch.points``
+    (link tasks run through a shard's ``simulate_points``, at any worker
+    count), ``engine.batch.aborted`` (multi-task shards that raised and
+    were split into single-task shards), and most importantly the
     silent-scalar-fallback count: a run that asked for batching but
     fell back (``phy.batch.fallback``) is correct yet several times
     slower, which is worth a loud line rather than a missing one."""
@@ -172,11 +175,16 @@ def _batching_section(record: Mapping[str, Any], fmt: str) -> List[str]:
         return []
     fallbacks = int(counters.get("phy.batch.fallback", 0))
     batched = int(counters.get("engine.batch.points", 0))
-    if not fallbacks and not batched:
+    aborted = int(counters.get("engine.batch.aborted", 0))
+    if not fallbacks and not batched and not aborted:
         return []
     lines = _heading("Batching", fmt)
     if batched:
-        lines.append(f"- cross-point batched tasks: {batched}")
+        lines.append(f"- link tasks run as simulate_points shards: "
+                     f"{batched}")
+    if aborted:
+        lines.append(f"- multi-task shards split after a failure: "
+                     f"{aborted}")
     if fallbacks:
         lines.append(f"- WARNING: batch requested but the session fell "
                      f"back to the scalar loop {fallbacks} time(s) "

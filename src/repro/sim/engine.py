@@ -29,15 +29,22 @@ Worker exceptions and overrunning tasks no longer lose the sweep.  A
   and a :class:`TaskRecord` carrying status/error/attempts, so failures
   are flagged rather than silently dropped.
 
-Each task is retried up to ``max_attempts`` times with exponential
-backoff (retries wait in a ready queue rather than blocking result
-collection), and ``timeout_s`` bounds one attempt's *execution* time:
-at most ``n_jobs`` attempts are in flight at once so the deadline never
-runs against queue wait, a queued attempt that never started is
-requeued instead of timed out, and a genuinely hung worker is abandoned
-— its pool is replaced immediately and its process killed at shutdown.
-For tests, :class:`FaultInjector` deterministically fails or delays
-chosen ``(task, attempt)`` pairs.
+Every task runs as part of a *shard* — one :func:`_execute_shard`
+call, in-process or on a pool worker — and one dispatcher owns retry,
+backoff, requeue and ``fail_fast`` for all of them.  Inline without a
+timeout, all pending tasks form one shard (a link sweep stacks packets
+across all its points); on the pool or with a timeout, each task is its
+own shard.  A multi-task shard that raises is split into single-task
+shards at the same attempt.  Each task is retried up to
+``max_attempts`` times with exponential backoff (retries wait in a
+ready queue rather than blocking result collection), and ``timeout_s``
+bounds one attempt's *execution* time: at most ``n_jobs`` attempts are
+in flight at once so the deadline never runs against queue wait, a
+queued attempt that never started is requeued instead of timed out,
+and a genuinely hung worker is abandoned — its pool is replaced
+immediately and its process killed at shutdown.  For tests,
+:class:`FaultInjector` deterministically fails or delays chosen
+``(task, attempt)`` pairs.
 
 Checkpoint / resume
 -------------------
@@ -53,11 +60,12 @@ Workers time the PHY stages (``phy.<radio>.encode/channel/decode`` via
 :mod:`repro.obs`) and the engine folds those snapshots, task
 durations, and retry counters into :attr:`RunResult.metrics`.  With
 tracing enabled (``trace=TraceConfig(...)`` or ``run(...,
-trace_path=...)``) every worker also records hierarchical spans
-(``engine.task`` wrapping the PHY work) and sampled per-packet
-forensic events; the engine re-roots each worker's span tree under its
-own ``engine.run`` span, so the aggregated tree is identical for any
-worker count, and streams every event — including its own
+trace_path=...)``) every task also records, in its own registry,
+hierarchical spans (``engine.task`` wrapping the PHY work) and sampled
+per-packet forensic events; tracing never changes how tasks are
+sharded.  The engine re-roots each task's span tree under its own
+``engine.run`` span, so the aggregated tree is identical for any
+worker count or shard size, and streams every event — including its own
 ``engine.retry`` / ``engine.requeue`` records — to a JSONL
 :class:`~repro.obs.trace.TraceSink` keyed by the spec fingerprint.
 
@@ -76,20 +84,24 @@ Typical use::
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import hashlib
 import json
 import os
+import threading
 import time
 from concurrent.futures import (
     FIRST_COMPLETED,
+    Future,
     ProcessPoolExecutor,
     wait,
 )
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (Any, Callable, Dict, List, Mapping, Optional, Tuple,
-                    Union)
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 import numpy as np
 
@@ -338,12 +350,15 @@ class FailurePolicy:
         Upper bound on one attempt's *execution* time — queue wait never
         counts, because the engine keeps at most ``n_jobs`` attempts on
         the active pool and requeues (rather than times out) anything
-        that never started.  In-process (``n_jobs=1``) execution cannot
-        be interrupted, so the bound is checked after the attempt
-        finishes ("soft") and is not retried (an identical deterministic
-        rerun cannot get faster) unless a fault injector is present.
-        Pool workers are abandoned at the deadline (attempt classified
-        ``timeout``, retried normally): the engine replaces the worker
+        that never started.  Setting it runs every task as its own
+        shard, so each attempt has its own measured duration.  One
+        *soft* rule holds at any ``n_jobs``: an attempt that completed
+        past the bound is classified ``timeout`` and is not retried (an
+        identical deterministic rerun cannot get faster) unless a fault
+        injector is present.  The *hard* rule is pool-only, since
+        in-process execution cannot be interrupted: a worker still
+        running at the deadline is abandoned (attempt classified
+        ``timeout``, retried normally), the engine replaces the worker
         pool so the hung process cannot occupy a slot, and kills it at
         pool shutdown.
     """
@@ -749,36 +764,35 @@ class CheckpointJournal:
 
 
 # -- worker side ----------------------------------------------------------
-# Module-level so they pickle under every start method.  Each worker
-# process keeps a small simulator cache: sessions wire up full PHY
-# chains, which is the expensive part of task setup.
+# Module-level so they pickle under every start method.  Each thread
+# keeps a small simulator cache: sessions wire up full PHY chains, which
+# is the expensive part of task setup.  The cache is per thread because
+# the sweep service runs engines on several threads at once, and neither
+# the cache dict nor a simulator's session (its frame LRU included) is
+# safe to share between them.
 
-_SIM_CACHE: Dict[str, Any] = {}
+_LOCAL = threading.local()
 _SIM_CACHE_MAX = 8
 
 
 def _simulator_for(spec: ExperimentSpec):
     from repro.sim.linksim import LinkSimulator
 
+    cache: Optional[Dict[str, Any]] = getattr(_LOCAL, "sims", None)
+    if cache is None:
+        cache = _LOCAL.sims = {}
     key = spec.session_key()
-    sim = _SIM_CACHE.get(key)
+    sim = cache.get(key)
     if sim is None:
         # The seed is irrelevant: engine tasks inject their own per-task
         # generator, so the simulator's internal stream is never drawn.
         sim = LinkSimulator(spec.config, spec.deployment,
                             packets_per_point=spec.packets_per_point,
                             seed=0)
-        if len(_SIM_CACHE) >= _SIM_CACHE_MAX:
-            _SIM_CACHE.pop(next(iter(_SIM_CACHE)))
-        _SIM_CACHE[key] = sim
+        if len(cache) >= _SIM_CACHE_MAX:
+            cache.pop(next(iter(cache)))
+        cache[key] = sim
     return sim
-
-
-def _run_link_point(spec: ExperimentSpec, distance_m: float,
-                    seed_seq: np.random.SeedSequence):
-    sim = _simulator_for(spec)
-    rng = np.random.default_rng(seed_seq)
-    return sim.simulate_point(distance_m, rng=rng, share_excitation=True)
 
 
 def _run_mac_point(spec: MacExperimentSpec, n_tags: int,
@@ -791,23 +805,146 @@ def _run_mac_point(spec: MacExperimentSpec, n_tags: int,
     return exp.run_point(n_tags, rng=np.random.default_rng(seed_seq))
 
 
-def _execute_task(spec: Spec, task, seed_seq: np.random.SeedSequence,
-                  task_index: int, attempt: int,
-                  injector: Optional[FaultInjector],
-                  trace: Optional[TraceConfig] = None):
-    """One attempt of one task: returns (point, metrics snapshot, dur)."""
+#: One task of a shard: (task index, task value, spawned seed sequence).
+_Unit = Tuple[int, Any, np.random.SeedSequence]
+
+
+def _execute_shard(spec: Spec, units: Sequence[_Unit], attempt: int,
+                   injector: Optional[FaultInjector],
+                   trace: Optional[TraceConfig]):
+    """One attempt of a shard of tasks, in-process or in a pool worker.
+
+    Every task gets its own registry (built with the run's *trace*, so
+    its ``engine.task`` / ``sim.point`` spans and packet events stay
+    its own) and the injector is applied per task.  A link shard is one
+    :meth:`~repro.sim.linksim.LinkSimulator.simulate_points` call,
+    which stacks packets across the shard's points while each task
+    draws from its own spawned generator; a MAC shard loops over its
+    tasks.  Returns ``([(point, task snapshot), ...], shard snapshot,
+    wall seconds)``: the shard snapshot holds the stacked channel and
+    decode timers, which belong to no single task.  Any exception
+    aborts the whole shard.
+    """
     from repro import obs
 
+    regs = [MetricsRegistry(trace=trace) for _ in units]
     start = time.perf_counter()
-    with obs.collect(trace=trace) as reg:
-        with reg.span("engine.task", task=task_index, attempt=attempt):
+    with obs.collect() as shared, ExitStack() as spans:
+        for (i, _, _), reg in zip(units, regs):
+            spans.enter_context(reg.span("engine.task", task=i,
+                                         attempt=attempt))
             if injector is not None:
-                injector.apply(task_index, attempt)
-            if isinstance(spec, ExperimentSpec):
-                point = _run_link_point(spec, task, seed_seq)
-            else:
-                point = _run_mac_point(spec, task, seed_seq)
-    return point, reg.snapshot(), time.perf_counter() - start
+                injector.apply(i, attempt)
+        if isinstance(spec, ExperimentSpec):
+            points = _simulator_for(spec).simulate_points(
+                [value for (_, value, _) in units],
+                rngs=[np.random.default_rng(seq) for (_, _, seq) in units],
+                share_excitation=True, registries=regs)
+        else:
+            points = []
+            for (_, value, seq), reg in zip(units, regs):
+                with obs.collect_into(reg):
+                    points.append(_run_mac_point(spec, value, seq))
+    dur = time.perf_counter() - start
+    return ([(point, reg.snapshot()) for point, reg in zip(points, regs)],
+            shared.snapshot(), dur)
+
+
+def _execute_here(*args: Any) -> "Future[Any]":
+    """:func:`_execute_shard` run synchronously, as a settled future,
+    so the dispatcher collects inline and pooled shards alike."""
+    fut: "Future[Any]" = Future()
+    try:
+        fut.set_result(_execute_shard(*args))
+    # Broad by design: the dispatcher classifies whatever the shard
+    # raised exactly as it would a pool worker's exception.
+    except Exception as exc:
+        fut.set_exception(exc)
+    return fut
+
+
+class _WorkerPools:
+    """The process pools behind one pooled run.
+
+    At most *workers* attempts ride the current pool, so a submitted
+    attempt starts executing (almost) at once and the timeout clock
+    runs against execution, never queue wait.  An abandoned (hung)
+    worker retires its pool: a fresh pool takes over at once so the
+    hung process cannot hold a slot, and the old pool is shut down —
+    its processes killed — once nothing else rides it.
+    """
+
+    def __init__(self, workers: int, metrics: MetricsRegistry) -> None:
+        self._workers = workers
+        self._metrics = metrics
+        self._load: Dict[ProcessPoolExecutor, int] = {}  # live -> in flight
+        self._hung: Dict[ProcessPoolExecutor, int] = {}  # -> abandoned
+        self.current = self._new()
+
+    def _new(self) -> ProcessPoolExecutor:
+        pool = ProcessPoolExecutor(max_workers=self._workers)
+        self._load[pool] = 0
+        return pool
+
+    def has_slot(self) -> bool:
+        return self._load[self.current] < self._workers
+
+    def submit(self, *args: Any):
+        """``(future, pool)`` of a shard attempt on the current pool, or
+        ``(None, None)`` when the pool was broken and has been replaced
+        (the caller requeues the attempt)."""
+        pool = self.current
+        try:
+            fut = pool.submit(_execute_shard, *args)
+        except (RuntimeError, OSError):
+            # BrokenProcessPool (a RuntimeError) after a crashed worker,
+            # or a dead pipe.
+            self._metrics.inc("engine.pool.submit_errors")
+            self._retire()
+            return None, None
+        self._load[pool] += 1
+        return fut, pool
+
+    def release(self, pool: ProcessPoolExecutor, hung: bool = False) -> None:
+        """One attempt left *pool*; *hung* marks its worker abandoned."""
+        self._load[pool] -= 1
+        if hung:
+            self._hung[pool] = self._hung.get(pool, 0) + 1
+            if pool is self.current:
+                self._retire()
+                return
+        if pool is not self.current and self._load[pool] == 0:
+            self._shutdown(pool)
+
+    def _retire(self) -> None:
+        old = self.current
+        self.current = self._new()
+        if self._load[old] == 0:
+            self._shutdown(old)
+
+    def _shutdown(self, pool: ProcessPoolExecutor) -> None:
+        if self._load.pop(pool, None) is None:
+            return
+        pool.shutdown(wait=False, cancel_futures=True)
+        if self._hung.get(pool):
+            # ``Future.cancel`` is a no-op on a running future, so an
+            # abandoned worker would keep its pool slot — and block
+            # interpreter exit — forever.  Kill its processes outright;
+            # results of the pool's futures were already collected or
+            # discarded.  ``_processes`` is a CPython implementation
+            # detail, so degrade to leaking the process if it is absent.
+            procs = getattr(pool, "_processes", None) or {}
+            for proc in list(procs.values()):
+                try:
+                    proc.terminate()
+                except (OSError, ValueError):
+                    # Already dead / handle closed; count it so a leak
+                    # shows up in the run's metrics.
+                    self._metrics.inc("engine.pool.terminate_errors")
+
+    def close(self) -> None:
+        for pool in list(self._load):
+            self._shutdown(pool)
 
 
 # -- the engine -----------------------------------------------------------
@@ -824,9 +961,10 @@ class ExperimentEngine:
     Parameters
     ----------
     n_jobs:
-        Worker processes.  ``1`` executes inline (no pool, no pickling);
-        ``None`` picks :func:`default_n_jobs`.  Any value yields
-        bit-identical results thanks to per-task seed spawning.
+        Worker processes.  ``1`` executes inline (no pool, no pickling),
+        as does a run with a single pending task; ``None`` picks
+        :func:`default_n_jobs`.  Any value yields bit-identical results
+        thanks to per-task seed spawning.
     failure_policy:
         Retry/abort behaviour; defaults to :class:`FailurePolicy`'s
         ``fail_fast`` with no retries (the historical behaviour).
@@ -924,14 +1062,9 @@ class ExperimentEngine:
             with metrics.span("engine.run", spec=fingerprint,
                               n_tasks=len(tasks), n_jobs=self.n_jobs):
                 if pending:
-                    if self.n_jobs == 1 or len(pending) == 1:
-                        self._run_inline(spec, tasks, children, pending,
-                                         points, records, journal, metrics,
-                                         tracker)
-                    else:
-                        self._run_pool(spec, tasks, children, pending,
-                                       points, records, journal, metrics,
-                                       tracker)
+                    self._run_shards(spec, tasks, children, pending,
+                                     points, records, journal, metrics,
+                                     tracker)
         finally:
             tracker.emit("run_end", spec=fingerprint,
                          tasks_done=tracker.done, n_tasks=len(tasks),
@@ -992,212 +1125,51 @@ class ExperimentEngine:
                                f"(took {duration_s:.3f}s)")
         return "ok", None
 
-    # -- inline execution -------------------------------------------------
+    # -- the dispatcher ---------------------------------------------------
 
-    def _run_inline(self, spec, tasks, children, pending,
+    def _run_shards(self, spec, tasks, children, pending,
                     points, records, journal, metrics, tracker) -> None:
-        if (isinstance(spec, ExperimentSpec)
-                and self.fault_injector is None
-                and metrics.trace is None
-                and self.failure_policy.timeout_s is None
-                and self._run_inline_batched(spec, tasks, children, pending,
-                                             points, records, journal,
-                                             metrics, tracker)):
-            return
-        policy = self.failure_policy
-        for i in pending:
-            attempt = 1
-            while True:
-                try:
-                    point, snap, dur = _execute_task(
-                        spec, tasks[i], children[i], i, attempt,
-                        self.fault_injector, metrics.trace)
-                    status, error = self._classify(dur)
-                    if status != "ok":
-                        point, snap = None, None
-                # Broad by design: a user-supplied builder can raise
-                # anything, and the error is preserved verbatim in the
-                # task's TaskRecord rather than swallowed.
-                except Exception as exc:
-                    point, snap, dur = None, None, 0.0
-                    status = "failed"
-                    error = f"{type(exc).__name__}: {exc}"
-                    metrics.inc("engine.tasks.raised")
-                if status == "ok" or attempt >= policy.max_attempts:
-                    break
-                if status == "timeout" and self.fault_injector is None:
-                    # An inline retry reruns the identical deterministic
-                    # computation with the same seed, so a timed-out
-                    # attempt can never get faster — don't multiply the
-                    # overrun by max_attempts.  (An injector can make
-                    # slowness attempt-dependent, so retries stay live
-                    # under injection.)
-                    break
-                metrics.inc("engine.retries")
-                backoff = policy.backoff_s(attempt)
-                metrics.event("engine.retry", task=i, attempt=attempt,
-                              status=status, error=error,
-                              backoff_s=backoff)
-                if backoff:
-                    time.sleep(backoff)
-                attempt += 1
-            record = TaskRecord(index=i, task=tasks[i], status=status,
-                                attempts=attempt, duration_s=dur, error=error,
-                                spawn_key=tuple(children[i].spawn_key))
-            self._finish_task(record, point, snap, points, records,
-                              journal, metrics, tracker)
+        """Run every pending task as part of a shard of
+        :func:`_execute_shard`, under the engine's one retry loop.
 
-    def _run_inline_batched(self, spec, tasks, children, pending,
-                            points, records, journal, metrics,
-                            tracker) -> bool:
-        """Cross-task fast path for inline link sweeps.
-
-        All pending points run through
-        :meth:`~repro.sim.linksim.LinkSimulator.simulate_points`, which
-        stacks packets *across* tasks for the channel and receiver
-        kernels while each task keeps its own spawned generator (so the
-        points are bit-identical to the per-task path and to any
-        ``n_jobs``) and its own metrics registry (so per-task
-        ``stage_counts`` stay exact).  Returns False — caller falls
-        back to the per-task loop — when the session lacks the batch
-        API or anything raises: per-task seeding makes the recomputation
-        bit-exact, and the classic loop attributes the error to its
-        task.  No bookkeeping (journal, records) happens until every
-        task has succeeded, so the fallback never sees partial state.
+        Inline without ``timeout_s``, all pending tasks form one shard,
+        so a link sweep stacks packets across all its points.  On the
+        pool, or with any ``timeout_s``, each task is its own shard:
+        per-task deadlines need per-task durations, and a pool worker
+        holding one point keeps its memory at one point's worth.  A
+        multi-task shard that raises is split into single-task shards
+        at the same attempt number (``engine.batch.aborted``); per-task
+        seeding makes the rerun bit-exact and pins the error on the
+        task that raised it.  Retries, backoff, requeues and
+        ``fail_fast`` all live here; inline shards run synchronously on
+        submission, and only abandoning hung workers is pool-specific.
         """
-        from repro import obs
-
-        sim = _simulator_for(spec)
-        if not (getattr(sim, "batch", False)
-                and hasattr(sim.session, "predraw_packet")):
-            return False
-        regs = {i: MetricsRegistry() for i in pending}
-        start = time.perf_counter()
-        try:
-            with obs.collect() as shared:
-                results = sim.simulate_points(
-                    [tasks[i] for i in pending],
-                    rngs=[np.random.default_rng(children[i])
-                          for i in pending],
-                    share_excitation=True,
-                    registries=[regs[i] for i in pending])
-        # Broad by design: any failure routes to the classic per-task
-        # loop, which reruns deterministically and records the error
-        # against the task that raised it.
-        except Exception:
-            metrics.inc("engine.batch.aborted")
-            return False
-        total = time.perf_counter() - start
-        # Shared cross-task work (stacked channel/decode timers) is not
-        # attributable to one task; fold it straight into the run.
-        metrics.merge_snapshot(shared.snapshot(), span_prefix="engine.run")
-        metrics.inc("engine.batch.points", len(pending))
-        per_task = total / max(len(pending), 1)
-        for k, i in enumerate(pending):
-            record = TaskRecord(index=i, task=tasks[i], status="ok",
-                                attempts=1, duration_s=per_task,
-                                spawn_key=tuple(children[i].spawn_key))
-            self._finish_task(record, results[k], regs[i].snapshot(),
-                              points, records, journal, metrics, tracker)
-        return True
-
-    # -- pool execution ---------------------------------------------------
-
-    def _run_pool(self, spec, tasks, children, pending,
-                  points, records, journal, metrics, tracker) -> None:
         policy = self.failure_policy
-        workers = min(self.n_jobs, len(pending))
+        pools: Optional[_WorkerPools] = None
+        if self.n_jobs > 1 and len(pending) > 1:
+            pools = _WorkerPools(min(self.n_jobs, len(pending)), metrics)
+        if pools is not None or policy.timeout_s is not None:
+            shards = [(i,) for i in pending]
+        else:
+            shards = [tuple(pending)]
+        # (shard, attempt, earliest submit time), sorted by shard, so a
+        # retry runs before later tasks; backoff is a not-before time
+        # rather than a sleep, so collection never stalls behind it.
+        ready: List[Tuple[Tuple[int, ...], int, float]] = [
+            (shard, 1, 0.0) for shard in shards]
+        # future -> (shard, attempt, execution start, pool or None).
+        inflight: Dict[Any, Tuple[Tuple[int, ...], int, float,
+                                  Optional[ProcessPoolExecutor]]] = {}
 
-        pools: List[ProcessPoolExecutor] = []   # every pool ever created
-        live: List[ProcessPoolExecutor] = []    # not yet shut down
-        tracked: Dict[Any, int] = {}            # pool -> inflight futures
-        hung: Dict[Any, int] = {}               # pool -> abandoned workers
-
-        def new_pool() -> ProcessPoolExecutor:
-            p = ProcessPoolExecutor(max_workers=workers)
-            pools.append(p)
-            live.append(p)
-            tracked[p] = 0
-            return p
-
-        def shutdown_pool(p) -> None:
-            if p not in live:
-                return
-            live.remove(p)
-            p.shutdown(wait=False, cancel_futures=True)
-            if hung.get(p):
-                # ``Future.cancel`` is a no-op on a running future, so an
-                # abandoned worker would keep its pool slot — and block
-                # interpreter exit — forever.  Kill its processes
-                # outright; results of the pool's futures were already
-                # collected or discarded.  ``_processes`` is a CPython
-                # implementation detail, so degrade to leaking the
-                # process if it is ever absent.
-                procs = getattr(p, "_processes", None) or {}
-                for proc in list(procs.values()):
-                    try:
-                        proc.terminate()
-                    except (OSError, ValueError):
-                        # Already dead / handle closed; count it so a
-                        # leak shows up in the run's metrics.
-                        metrics.inc("engine.pool.terminate_errors")
-
-        current = new_pool()
-
-        # future -> (task index, attempt, execution start time, pool).
-        # At most ``workers`` futures ride the active pool, so a
-        # submitted attempt starts executing (almost) immediately and
-        # the timeout clock only ever runs against executing attempts,
-        # never against queue wait.
-        inflight: Dict[Any, Tuple[int, int, float, Any]] = {}
-        # (task index, attempt, earliest submit time): retries carry
-        # their backoff deadline here instead of sleeping on the
-        # dispatcher thread, so collection of other futures never stalls.
-        ready: List[Tuple[int, int, float]] = [(i, 1, 0.0) for i in pending]
-
-        def retire_current() -> None:
-            nonlocal current
-            old = current
-            current = new_pool()
-            if tracked[old] == 0:
-                shutdown_pool(old)
-
-        def submit_due() -> None:
-            now = time.perf_counter()
-            while ready and tracked[current] < workers:
-                k = next((k for k, (_, _, due) in enumerate(ready)
-                          if due <= now), None)
-                if k is None:
-                    return
-                i, attempt, _ = ready.pop(k)
-                try:
-                    fut = current.submit(_execute_task, spec, tasks[i],
-                                         children[i], i, attempt,
-                                         self.fault_injector, metrics.trace)
-                except (RuntimeError, OSError):
-                    # BrokenProcessPool (a RuntimeError) after a crashed
-                    # worker, or a dead pipe: replace the pool and
-                    # resubmit there.
-                    metrics.inc("engine.pool.submit_errors")
-                    ready.append((i, attempt, now))
-                    retire_current()
-                    continue
-                inflight[fut] = (i, attempt, time.perf_counter(), current)
-                tracked[current] += 1
-
-        def release(fut) -> Tuple[int, int, float, Any]:
-            i, attempt, t0, p = inflight.pop(fut)
-            tracked[p] -= 1
-            return i, attempt, t0, p
-
-        def handle_failure(i: int, attempt: int, status: str,
-                           error: str, dur: float) -> None:
-            if attempt < policy.max_attempts:
+        def fail(i: int, attempt: int, status: str, error: Optional[str],
+                 dur: float, retry: bool = True) -> None:
+            if retry and attempt < policy.max_attempts:
                 metrics.inc("engine.retries")
                 backoff = policy.backoff_s(attempt)
                 metrics.event("engine.retry", task=i, attempt=attempt,
                               status=status, error=error, backoff_s=backoff)
-                ready.append((i, attempt + 1, time.perf_counter() + backoff))
+                bisect.insort(ready, ((i,), attempt + 1,
+                                      time.perf_counter() + backoff))
                 return
             record = TaskRecord(index=i, task=tasks[i], status=status,
                                 attempts=attempt, duration_s=dur,
@@ -1205,6 +1177,92 @@ class ExperimentEngine:
                                 spawn_key=tuple(children[i].spawn_key))
             self._finish_task(record, None, None, points, records,
                               journal, metrics, tracker)
+
+        def submit_due() -> None:
+            while ready and (pools.has_slot() if pools is not None
+                             else not inflight):
+                now = time.perf_counter()
+                k = next((k for k, (_, _, due) in enumerate(ready)
+                          if due <= now), None)
+                if k is None:
+                    return
+                shard, attempt, _ = ready.pop(k)
+                args = (spec, [(i, tasks[i], children[i]) for i in shard],
+                        attempt, self.fault_injector, metrics.trace)
+                start = time.perf_counter()
+                if pools is None:
+                    fut, pool = _execute_here(*args), None
+                else:
+                    fut, pool = pools.submit(*args)
+                    if fut is None:
+                        bisect.insort(ready, (shard, attempt, now))
+                        continue
+                inflight[fut] = (shard, attempt, start, pool)
+
+        def collect(fut) -> None:
+            shard, attempt, t0, pool = inflight.pop(fut)
+            if pool is not None:
+                pools.release(pool)
+            try:
+                results, shared, dur = fut.result()
+            except Exception as exc:
+                # Broad by design: surfaces whatever the task raised;
+                # its TaskRecord keeps the error verbatim.
+                if len(shard) > 1:
+                    metrics.inc("engine.batch.aborted")
+                    for i in shard:
+                        bisect.insort(ready, ((i,), attempt, 0.0))
+                    return
+                metrics.inc("engine.tasks.raised")
+                fail(shard[0], attempt, "failed",
+                     f"{type(exc).__name__}: {exc}", time.perf_counter() - t0)
+                return
+            per_task = dur / len(shard)
+            status, error = self._classify(per_task)
+            if status != "ok":
+                # Soft timeout (timeouts imply single-task shards): an
+                # identical deterministic rerun cannot get faster, so
+                # only an injector's attempt-dependent delay is retried.
+                fail(shard[0], attempt, status, error, per_task,
+                     retry=self.fault_injector is not None)
+                return
+            metrics.merge_snapshot(shared, span_prefix="engine.run")
+            if isinstance(spec, ExperimentSpec):
+                metrics.inc("engine.batch.points", len(shard))
+            for i, (point, snap) in zip(shard, results):
+                record = TaskRecord(index=i, task=tasks[i], status="ok",
+                                    attempts=attempt, duration_s=per_task,
+                                    spawn_key=tuple(children[i].spawn_key))
+                self._finish_task(record, point, snap, points, records,
+                                  journal, metrics, tracker)
+
+        def expire_overdue() -> None:
+            # Only pool futures can still be running here: inline ones
+            # are settled on submission.
+            now = time.perf_counter()
+            for fut, (shard, attempt, t0, pool) in list(inflight.items()):
+                ran = now - t0
+                if ran < policy.timeout_s:
+                    continue
+                if fut.cancel():
+                    # Never started (queued behind an abandoned worker):
+                    # requeue without consuming an attempt — a task that
+                    # never ran is not a timeout.
+                    del inflight[fut]
+                    pools.release(pool)
+                    metrics.inc("engine.tasks.requeued")
+                    metrics.event("engine.requeue", task=shard[0],
+                                  attempt=attempt)
+                    bisect.insort(ready, (shard, attempt, now))
+                elif not fut.done():
+                    # Genuinely executing past its deadline: abandon the
+                    # worker (a completed one is collected next round,
+                    # and _classify judges its true duration).
+                    del inflight[fut]
+                    pools.release(pool, hung=True)
+                    fail(shard[0], attempt, "timeout",
+                         f"attempt exceeded timeout_s={policy.timeout_s} "
+                         f"(ran {ran:.3f}s; worker abandoned)", ran)
 
         try:
             while ready or inflight:
@@ -1226,75 +1284,12 @@ class ExperimentEngine:
                              if wakeups else None),
                     return_when=FIRST_COMPLETED)
                 if not done and policy.timeout_s is not None:
-                    now = time.perf_counter()
-                    for fut, (i, attempt, t0, _) in list(inflight.items()):
-                        overdue = now - t0
-                        if overdue < policy.timeout_s:
-                            continue
-                        if fut.cancel():
-                            # Never started (queued behind an abandoned
-                            # worker): requeue without consuming an
-                            # attempt — a task that never ran is not a
-                            # timeout.
-                            release(fut)
-                            metrics.inc("engine.tasks.requeued")
-                            metrics.event("engine.requeue", task=i,
-                                          attempt=attempt)
-                            ready.append((i, attempt, now))
-                        elif fut.done():
-                            # Completed between wait() and here; the next
-                            # wait() collects it and _classify applies
-                            # the soft-timeout check to its true dur.
-                            continue
-                        else:
-                            # Genuinely executing past its deadline.
-                            # Abandon the worker and retire its pool so
-                            # the hung process cannot eat a slot from
-                            # later submissions (healthy futures on the
-                            # old pool still complete normally; worker
-                            # counts may transiently exceed n_jobs).
-                            i, attempt, t0, p = release(fut)
-                            hung[p] = hung.get(p, 0) + 1
-                            if p is current:
-                                retire_current()
-                            elif tracked[p] == 0:
-                                shutdown_pool(p)
-                            handle_failure(
-                                i, attempt, "timeout",
-                                f"attempt exceeded timeout_s="
-                                f"{policy.timeout_s} (ran {overdue:.3f}s; "
-                                f"worker abandoned)",
-                                overdue)
+                    expire_overdue()
                 for fut in done:
-                    i, attempt, t0, p = release(fut)
-                    if p is not current and tracked[p] == 0:
-                        shutdown_pool(p)
-                    try:
-                        point, snap, dur = fut.result()
-                    except Exception as exc:
-                        # Broad by design: surfaces whatever the worker
-                        # raised; handle_failure records it verbatim.
-                        handle_failure(i, attempt, "failed",
-                                       f"{type(exc).__name__}: {exc}",
-                                       time.perf_counter() - t0)
-                        continue
-                    status, error = self._classify(dur)
-                    if status != "ok":
-                        handle_failure(i, attempt, status, error, dur)
-                        continue
-                    record = TaskRecord(
-                        index=i, task=tasks[i], status="ok",
-                        attempts=attempt, duration_s=dur,
-                        spawn_key=tuple(children[i].spawn_key))
-                    self._finish_task(record, point, snap, points,
-                                      records, journal, metrics, tracker)
+                    collect(fut)
         finally:
-            for p in list(live):
-                shutdown_pool(p)
-
-    def run_many(self, specs) -> List[RunResult]:
-        """Execute several specs back to back (shared worker budget)."""
-        return [self.run(spec) for spec in specs]
+            if pools is not None:
+                pools.close()
 
 
 def run_experiment(spec: Spec, n_jobs: Optional[int] = 1,

@@ -192,8 +192,11 @@ class LinkSimulator:
         snr_penalty = (10 * np.log10(self.session.oversample_factor)
                        + self.config.implementation_loss_db)
 
-        excitation = (self.session.make_excitation(gen)
-                      if share_excitation else None)
+        # ``make_excitation`` is optional: a session offering only the
+        # registry protocol draws each packet's excitation itself.
+        make_excitation = getattr(self.session, "make_excitation", None)
+        excitation = (make_excitation(gen)
+                      if share_excitation and make_excitation else None)
         use_batch = self.batch and hasattr(self.session, "predraw_packet")
         if self.batch and not use_batch:
             # Batch requested but this session has no two-phase API —
@@ -258,7 +261,12 @@ class LinkSimulator:
         are stacked *across* points in chunks of up to the session's
         ``_chunk_packets`` — so a whole sweep amortises the
         vectorised receiver kernels even when each point only carries a
-        handful of packets.  Bit-identical to the per-point loop.
+        handful of packets.  Bit-identical to the per-point loop.  A
+        session without the two-phase batch API (or ``batch=False``)
+        runs each point's scalar chain inside phase 1 instead, so every
+        session takes this path.  Each point's ``sim.point`` span covers
+        its phase 1; the stacked passes are shared by the points and
+        run under the enclosing span.
 
         Parameters
         ----------
@@ -274,9 +282,6 @@ class LinkSimulator:
             forensics exact while sharing the stacked kernels.
         """
         session = self.session
-        if not hasattr(session, "predraw_packet"):
-            raise TypeError("session has no two-phase batch API; use "
-                            "simulate_point per point instead")
         pendings: List[_PendingPoint] = []
         buffered: List[Any] = []           # (point idx, packet idx, draw)
         chunk = int(getattr(session, "_chunk_packets", _CHUNK_PACKETS))
@@ -306,7 +311,9 @@ class LinkSimulator:
 
         for idx, dist in enumerate(distances_m):
             gen = self._rng if rngs is None else make_rng(rngs[idx])
-            with point_scope(idx):
+            with point_scope(idx), obs.span("sim.point",
+                                            distance_m=float(dist),
+                                            packets=self.packets_per_point):
                 pending = self._point_phase1(float(dist), gen,
                                              share_excitation)
             if pending.draws:
@@ -366,15 +373,7 @@ class LinkSimulator:
         """
         distances = list(distances_m)
         if n_jobs is None and failure_policy is None and checkpoint is None:
-            if (self.batch and len(distances) > 1
-                    and hasattr(self.session, "predraw_packet")
-                    and not obs.tracing_active()):
-                # Serial cross-point batching: same generator stream,
-                # same results, one stacked kernel pass per chunk.  With
-                # tracing active keep the per-point loop so each
-                # ``sim.point`` span encloses its own decode work.
-                return self.simulate_points(distances)
-            return [self.simulate_point(d) for d in distances]
+            return self.simulate_points(distances)
 
         from repro.sim.engine import ExperimentEngine
 

@@ -322,30 +322,7 @@ class TestUnifiedRun:
 
 
 class TestDeprecatedAliases:
-    """Old flag spellings parse into the canonical dest and warn."""
-
-    @pytest.mark.parametrize("command", ["run", "sweep", "mac"])
-    def test_n_jobs_alias(self, command, capsys):
-        args = build_parser().parse_args([command, "--n-jobs", "3"])
-        assert args.jobs == 3
-        assert "--n-jobs is deprecated" in capsys.readouterr().err
-
-    def test_metrics_alias(self, capsys):
-        args = build_parser().parse_args(["sweep", "--metrics", "m.json"])
-        assert args.metrics_json == "m.json"
-        assert "use --metrics-json" in capsys.readouterr().err
-
-    def test_trace_file_alias(self, capsys):
-        args = build_parser().parse_args(["sweep", "--trace-file",
-                                          "t.jsonl"])
-        assert args.trace == "t.jsonl"
-        assert "use --trace" in capsys.readouterr().err
-
-    def test_resume_alias(self, capsys):
-        args = build_parser().parse_args(["report", "--resume",
-                                          "ck.jsonl"])
-        assert args.checkpoint == "ck.jsonl"
-        assert "use --checkpoint" in capsys.readouterr().err
+    """The removed old spellings stay gone; canonical flags are silent."""
 
     def test_aliases_hidden_from_help(self, capsys):
         with pytest.raises(SystemExit):
@@ -355,6 +332,8 @@ class TestDeprecatedAliases:
         for hidden in ("--n-jobs", "--metrics ", "--trace-file",
                        "--resume"):
             assert hidden not in help_text
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["sweep", "--n-jobs", "3"])
 
     def test_canonical_spelling_is_silent(self, capsys):
         build_parser().parse_args(["sweep", "--jobs", "2",
