@@ -19,11 +19,11 @@ both hard bits and soft LLR inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.utils.bits import as_bits
+from repro.utils.bits import BitsLike, as_bits
 
 __all__ = ["ConvolutionalCode", "CODE_802_11", "PUNCTURE_PATTERNS"]
 
@@ -35,20 +35,35 @@ PUNCTURE_PATTERNS: Dict[Tuple[int, int], np.ndarray] = {
     (3, 4): np.array([1, 1, 1, 0, 0, 1], dtype=np.uint8),
 }
 
+# next_state, out0, out1 of :meth:`ConvolutionalCode._build_tables`.
+_Tables = Tuple[np.ndarray, np.ndarray, np.ndarray]
+# pred, pbit, pred_flat, exp0_flat, exp1_flat of ``_acs_tables``.
+_AcsTables = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                   np.ndarray]
+# Hard bits or LLRs, as the decoders accept them.
+_Received = Union[np.ndarray, Sequence[Any]]
+
+# decode_batch gathers branch metrics for a block of Viterbi steps at a
+# time; this caps one block at steps * transitions * rows floats (2 MiB).
+_ACS_BLOCK = 1 << 18
+
 
 @dataclass
 class ConvolutionalCode:
     """K=7 convolutional code with numpy Viterbi decoding.
 
-    The instance precomputes the state-transition tables once; encode and
-    decode are then pure-numpy loops over time steps.
+    Encoding is a mod-2 convolution per generator.  The instance
+    precomputes the state-transition tables once; the Viterbi decoders
+    are numpy loops over time steps.
     """
 
     g0: int = 0o133
     g1: int = 0o171
     constraint_length: int = 7
-    _tables: Optional[tuple] = field(default=None, repr=False, compare=False)
-    _acs: Optional[tuple] = field(default=None, repr=False, compare=False)
+    _tables: Optional[_Tables] = field(default=None, repr=False,
+                                       compare=False)
+    _acs: Optional[_AcsTables] = field(default=None, repr=False,
+                                       compare=False)
 
     @property
     def n_states(self) -> int:
@@ -57,7 +72,7 @@ class ConvolutionalCode:
     def _parity(self, x: int) -> int:
         return bin(x).count("1") & 1
 
-    def _build_tables(self):
+    def _build_tables(self) -> _Tables:
         """next_state[s, b], out0[s, b], out1[s, b] for all 64 states."""
         if self._tables is not None:
             return self._tables
@@ -77,7 +92,8 @@ class ConvolutionalCode:
         self._tables = (next_state, out0, out1)
         return self._tables
 
-    def encode(self, bits, rate: Tuple[int, int] = (1, 2)) -> np.ndarray:
+    def encode(self, bits: BitsLike,
+               rate: Tuple[int, int] = (1, 2)) -> np.ndarray:
         """Encode *bits*; output is punctured to *rate*.
 
         The encoder starts in the all-zero state (the 802.11 SERVICE
@@ -86,13 +102,15 @@ class ConvolutionalCode:
         if rate not in PUNCTURE_PATTERNS:
             raise ValueError(f"unsupported coding rate {rate}")
         arr = as_bits(bits)
-        next_state, out0, out1 = self._build_tables()
-        coded = np.empty(2 * arr.size, dtype=np.uint8)
-        s = 0
-        for i, b in enumerate(arr):
-            coded[2 * i] = out0[s, b]
-            coded[2 * i + 1] = out1[s, b]
-            s = next_state[s, b]
+        coded = np.zeros(2 * arr.size, dtype=np.uint8)
+        if arr.size:
+            # Output j is the mod-2 convolution of the input with g_j's
+            # taps, newest bit (the register MSB) first.
+            k = self.constraint_length
+            for j, g in enumerate((self.g0, self.g1)):
+                taps = np.array([(g >> (k - 1 - i)) & 1 for i in range(k)],
+                                dtype=np.uint8)
+                coded[j::2] = np.convolve(arr, taps)[: arr.size] & 1
         return self._puncture(coded, rate)
 
     def _puncture(self, coded: np.ndarray, rate: Tuple[int, int]) -> np.ndarray:
@@ -121,7 +139,7 @@ class ConvolutionalCode:
             out = np.concatenate([out, [0.0]])
         return out
 
-    def _acs_tables(self):
+    def _acs_tables(self) -> _AcsTables:
         """Predecessor layout for the add-compare-select recursion.
 
         Each target state has exactly two (predecessor, input-bit) pairs;
@@ -148,6 +166,14 @@ class ConvolutionalCode:
                 pred[tgt, fill[tgt]] = s
                 pbit[tgt, fill[tgt]] = b
                 fill[tgt] += 1
+        # decode_batch's butterfly and traceback rely on this layout:
+        # target t is entered from 2(t mod n/2) (slot 0) and
+        # 2(t mod n/2) + 1 (slot 1), both with input bit t >> (K-2).
+        target = np.arange(n)
+        assert np.array_equal(pred[:, 0], 2 * (target % (n // 2)))
+        assert np.array_equal(pred[:, 1], pred[:, 0] + 1)
+        msb = target >> (self.constraint_length - 2)
+        assert (pbit == msb[:, None]).all()
         exp0_pred = exp0[pred, pbit]  # (n,2) expected first output symbol
         exp1_pred = exp1[pred, pbit]
         exp0_flat = np.concatenate([exp0_pred[:, 0], exp0_pred[:, 1]])
@@ -156,7 +182,7 @@ class ConvolutionalCode:
         self._acs = (pred, pbit, pred_flat, exp0_flat, exp1_flat)
         return self._acs
 
-    def decode(self, received, rate: Tuple[int, int] = (1, 2),
+    def decode(self, received: _Received, rate: Tuple[int, int] = (1, 2),
                soft: bool = False) -> np.ndarray:
         """Viterbi-decode *received* back to information bits.
 
@@ -215,18 +241,24 @@ class ConvolutionalCode:
             state = int(pred[state, slot])
         return decoded
 
-    def decode_batch(self, received, rate: Tuple[int, int] = (1, 2),
+    def decode_batch(self, received: _Received,
+                     rate: Tuple[int, int] = (1, 2),
                      soft: bool = False) -> np.ndarray:
         """Viterbi-decode a batch of equal-length streams at once.
 
         *received* is a (B, L) array of hard bits or LLRs (one frame per
         row, same convention as :meth:`decode`); returns a (B, n_steps)
-        uint8 array.  The add-compare-select recursion runs over all
-        rows simultaneously and the traceback advances every row's state
-        vector per step, so the Python-loop cost is paid once per time
-        step instead of once per frame.  Every elementwise operation
-        matches the scalar recursion, so the result is bit-identical to
-        ``np.stack([decode(row, ...) for row in received])``.
+        uint8 array, ``(0, n_steps)`` for an empty batch.  The
+        add-compare-select recursion runs in butterfly form on
+        state-major ``(n_states, B)`` metrics, so each time step costs a
+        handful of numpy calls whatever the batch size, and the
+        traceback is integer state arithmetic on all rows at once.
+        Branch metrics are the four per-row values ``le+lo``, ``le-lo``
+        and their negations (the expected symbols are +/-1, and IEEE
+        negation is exact), survivors are chosen by the scalar
+        decoder's strict ``>``, so the result is bit-identical to
+        ``np.stack([decode(row, ...) for row in received])``, NaN and
+        infinite LLRs included.
         """
         if rate not in PUNCTURE_PATTERNS:
             raise ValueError(f"unsupported coding rate {rate}")
@@ -237,8 +269,6 @@ class ConvolutionalCode:
             llr2 = block.astype(float)
         else:
             llr2 = 1.0 - 2.0 * block.astype(float)
-        if llr2.shape[0] == 0:
-            return np.zeros((0, 0), dtype=np.uint8)
         # Rows share a length, so depuncturing one row fixes the layout
         # for all of them (pure scatter: float values are untouched).
         pattern = PUNCTURE_PATTERNS[rate]
@@ -255,38 +285,75 @@ class ConvolutionalCode:
             llr2 = np.concatenate(
                 [llr2, np.zeros((llr2.shape[0], 1))], axis=1)
         n_batch, n_steps = llr2.shape[0], llr2.shape[1] // 2
-        if n_steps == 0:
-            return np.zeros((n_batch, 0), dtype=np.uint8)
+        if n_batch == 0 or n_steps == 0:
+            return np.zeros((n_batch, n_steps), dtype=np.uint8)
 
-        n = self.n_states
-        pred, pbit, pred_flat, exp0_flat, exp1_flat = self._acs_tables()
+        n, half = self.n_states, self.n_states // 2
+        _, _, _, exp0_flat, exp1_flat = self._acs_tables()
+        # Which of the four values below is each flat (slot-major)
+        # transition's branch metric: 2*[e0 == -1] + [e1 == -1].
+        metric_index = 2 * (exp0_flat < 0) + (exp1_flat < 0)
+        llr_even = np.ascontiguousarray(llr2[:, 0::2].T)  # (n_steps, B)
+        llr_odd = np.ascontiguousarray(llr2[:, 1::2].T)
 
-        path_metric = np.full((n_batch, n), -np.inf)
-        path_metric[:, 0] = 0.0
-        llr_even = llr2[:, 0::2]
-        llr_odd = llr2[:, 1::2]
+        # State-major path metrics: row t is state t, one column per
+        # frame.  Targets t and t + n/2 share the predecessors 2(t mod
+        # n/2) (slot 0) and 2(t mod n/2) + 1 (slot 1), the even and odd
+        # rows, so a (2, n/2, B) candidate block is already in target
+        # order and becomes the next step's metrics after the select.
+        metrics = np.full((2, n, n_batch), -np.inf)  # double buffer
+        metrics[0, 0] = 0.0
+        even = [m[0::2] for m in metrics]
+        odd = [m[1::2] for m in metrics]
+        by_target = [m.reshape(2, half, n_batch) for m in metrics]
+        cand1 = np.empty((2, half, n_batch))
+        choices = np.zeros((n_steps, 2, half, n_batch), dtype=bool)
+        per_block = max(1, min(n_steps, _ACS_BLOCK // (2 * n * n_batch)))
+        values = np.empty((per_block, 4, n_batch))
+        cur = 0
+        for t0 in range(0, n_steps, per_block):
+            t1 = min(t0 + per_block, n_steps)
+            le, lo = llr_even[t0:t1], llr_odd[t0:t1]
+            # The expected coder outputs are +/-1, so every branch metric
+            # le*e0 + lo*e1 is one of [le+lo, le-lo, -(le-lo), -(le+lo)],
+            # bit for bit.
+            v = values[: t1 - t0]
+            np.add(le, lo, out=v[:, 0])
+            np.subtract(le, lo, out=v[:, 1])
+            np.negative(v[:, 1], out=v[:, 2])
+            np.negative(v[:, 0], out=v[:, 3])
+            # bm[t, slot, h, j]: branch metric of the slot-0 or slot-1
+            # transition into target state h*n/2 + j.
+            bm = np.take(v, metric_index, axis=1).reshape(
+                t1 - t0, 2, 2, half, n_batch)
+            for t in range(t0, t1):
+                cand0 = by_target[1 - cur]
+                np.add(even[cur], bm[t - t0, 0], out=cand0)
+                np.add(odd[cur], bm[t - t0, 1], out=cand1)
+                # Strict > matches the scalar decoder: slot 0 wins ties
+                # and NaN comparisons.
+                np.greater(cand1, cand0, out=choices[t])
+                # Select the survivor metric: max(cand0, cand1), except
+                # that a NaN in cand1 loses and a NaN in cand0 stays,
+                # exactly as the comparison above decided.
+                np.fmax(cand0, cand1, out=cand1)
+                np.maximum(cand0, cand1, out=cand0)
+                cur = 1 - cur
 
-        choices = np.zeros((n_steps, n_batch, n), dtype=bool)
-        cand = np.empty((n_batch, 2 * n))
-        c0, c1 = cand[:, :n], cand[:, n:]
-        for t in range(n_steps):
-            # bm[b, j] = llr_even[b, t]*exp0_flat[j] + llr_odd[b, t]*...
-            # — per-element arithmetic identical to the scalar bm_flat.
-            np.take(path_metric, pred_flat, axis=1, out=cand)
-            cand += (llr_even[:, t, None] * exp0_flat[None, :]
-                     + llr_odd[:, t, None] * exp1_flat[None, :])
-            choice = np.greater(c1, c0, out=choices[t])
-            path_metric = np.where(choice, c1, c0)
-
-        # Traceback: advance all rows' states together.
-        state = np.argmax(path_metric, axis=1)
-        decoded = np.zeros((n_batch, n_steps), dtype=np.uint8)
+        # Traceback by state arithmetic on flat positions state*B + row
+        # of each step's choices: the surviving predecessor of state is
+        # 2*(state mod n/2) + slot, and the decoded bit is the newest
+        # register bit, state >> (K-2), i.e. state >= n/2.
         rows = np.arange(n_batch)
+        pred0 = ((((np.arange(n) & (half - 1)) << 1)[:, None] * n_batch)
+                 + rows[None, :]).ravel()
+        flat_choices = choices.reshape(n_steps, n * n_batch)
+        pos = np.argmax(metrics[cur], axis=0) * n_batch + rows
+        decoded = np.empty((n_steps, n_batch), dtype=bool)
         for t in range(n_steps - 1, -1, -1):
-            slot = choices[t, rows, state].astype(np.int64)
-            decoded[:, t] = pbit[state, slot]
-            state = pred[state, slot]
-        return decoded
+            np.greater_equal(pos, half * n_batch, out=decoded[t])
+            pos = pred0[pos] + flat_choices[t][pos] * n_batch
+        return decoded.T.astype(np.uint8)
 
 
 CODE_802_11 = ConvolutionalCode()

@@ -60,36 +60,36 @@ class OfdmModulator:
     def samples_per_symbol(self) -> int:
         return self.n_fft + self.n_cp
 
-    def _grid(self, data_symbols: np.ndarray, symbol_index: int) -> np.ndarray:
-        if data_symbols.size != len(DATA_SUBCARRIERS):
-            raise ValueError(
-                f"expected {len(DATA_SUBCARRIERS)} data symbols, "
-                f"got {data_symbols.size}")
-        grid = np.zeros(self.n_fft, dtype=complex)
-        for sym, k in zip(data_symbols, DATA_SUBCARRIERS):
-            grid[k % self.n_fft] = sym
-        polarity = PILOT_POLARITY[symbol_index % 127]
-        pilots = (1, 1, 1, -1)  # base pilot values on -21,-7,7,21
-        for value, k in zip(pilots, PILOT_SUBCARRIERS):
-            grid[k % self.n_fft] = value * polarity
-        return grid
-
     def modulate_symbol(self, data_symbols: np.ndarray, symbol_index: int) -> np.ndarray:
         """One OFDM symbol: IFFT of the subcarrier grid plus cyclic prefix.
 
         *symbol_index* counts DATA symbols starting at 1 (index 0 is the
         SIGNAL symbol), selecting the pilot polarity.
         """
-        grid = self._grid(np.asarray(data_symbols), symbol_index)
-        time = np.fft.ifft(grid) * np.sqrt(self.n_fft)
-        return np.concatenate([time[-self.n_cp:], time])
+        return self.modulate(np.asarray(data_symbols).reshape(1, -1),
+                             first_index=symbol_index)
 
     def modulate(self, symbol_matrix: np.ndarray, first_index: int = 0) -> np.ndarray:
-        """Modulate a (n_symbols, 48) matrix into a contiguous waveform."""
+        """Modulate a (n_symbols, 48) matrix into a contiguous waveform.
+
+        Row i is symbol ``first_index + i``.  All rows share one
+        (n_symbols, 64) subcarrier grid and one IFFT along its last
+        axis, which is bit-identical to transforming the rows one by one.
+        """
         mat = np.atleast_2d(symbol_matrix)
-        parts = [self.modulate_symbol(row, first_index + i)
-                 for i, row in enumerate(mat)]
-        return np.concatenate(parts) if parts else np.zeros(0, dtype=complex)
+        if mat.shape[1] != len(DATA_SUBCARRIERS):
+            raise ValueError(
+                f"expected {len(DATA_SUBCARRIERS)} data symbols, "
+                f"got {mat.shape[1]}")
+        n_sym = mat.shape[0]
+        grid = np.zeros((n_sym, self.n_fft), dtype=complex)
+        grid[:, [k % self.n_fft for k in DATA_SUBCARRIERS]] = mat
+        polarity = PILOT_POLARITY[(first_index + np.arange(n_sym)) % 127]
+        pilots = np.array((1, 1, 1, -1))  # base values on -21,-7,7,21
+        grid[:, [k % self.n_fft for k in PILOT_SUBCARRIERS]] = \
+            pilots[None, :] * polarity[:, None]
+        time = np.fft.ifft(grid, axis=-1) * np.sqrt(self.n_fft)
+        return np.concatenate([time[:, -self.n_cp:], time], axis=1).ravel()
 
     def demodulate_symbol(self, samples: np.ndarray, symbol_index: int,
                           pilot_correction: bool = False) -> Tuple[np.ndarray, complex]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.utils.bits import as_bits
+from repro.utils.bits import BitsLike, as_bits
 
 __all__ = ["Scrambler", "scramble", "descramble", "scrambler_sequence",
            "periodic_keystream"]
@@ -33,7 +33,7 @@ class Scrambler:
         transmitters pick a pseudorandom nonzero seed per frame.
     """
 
-    def __init__(self, seed: int = 0b1011101):
+    def __init__(self, seed: int = 0b1011101) -> None:
         if not 1 <= seed <= 127:
             raise ValueError("scrambler seed must be a non-zero 7-bit value")
         self._state = seed
@@ -55,11 +55,16 @@ class Scrambler:
         """Generate *n* keystream bits."""
         return np.array([self.next_bit() for _ in range(n)], dtype=np.uint8)
 
-    def process(self, bits) -> np.ndarray:
+    def process(self, bits: BitsLike) -> np.ndarray:
         """Scramble (or descramble — the operation is an involution given
         the same starting state) a bit array."""
         arr = as_bits(bits)
-        return np.bitwise_xor(arr, self.keystream(arr.size))
+        out = np.bitwise_xor(arr, periodic_keystream(self._state, arr.size))
+        # The register cycles with period 127: n steps land where n mod
+        # 127 do.
+        for _ in range(arr.size % 127):
+            self.next_bit()
+        return out
 
 
 def scrambler_sequence(seed: int, n: int) -> np.ndarray:
@@ -83,11 +88,11 @@ def periodic_keystream(seed: int, n: int) -> np.ndarray:
     return np.tile(period, reps)[:n]
 
 
-def scramble(bits, seed: int = 0b1011101) -> np.ndarray:
+def scramble(bits: BitsLike, seed: int = 0b1011101) -> np.ndarray:
     """One-shot scramble of *bits* with *seed*."""
     return Scrambler(seed).process(bits)
 
 
-def descramble(bits, seed: int = 0b1011101) -> np.ndarray:
+def descramble(bits: BitsLike, seed: int = 0b1011101) -> np.ndarray:
     """One-shot descramble; identical operation to :func:`scramble`."""
     return Scrambler(seed).process(bits)

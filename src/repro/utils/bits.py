@@ -15,6 +15,8 @@ from typing import Sequence, Union
 import numpy as np
 
 BitArray = np.ndarray
+# Anything :func:`as_bits` accepts.
+BitsLike = Union[Sequence[int], np.ndarray, str]
 
 __all__ = [
     "as_bits",
@@ -30,7 +32,7 @@ __all__ = [
 ]
 
 
-def as_bits(bits: Union[Sequence[int], np.ndarray, str]) -> BitArray:
+def as_bits(bits: BitsLike) -> BitArray:
     """Coerce *bits* (list, ndarray, or '0101' string) to a uint8 bit array.
 
     Raises ``ValueError`` when any element is not 0 or 1.  Strings are

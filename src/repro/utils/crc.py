@@ -13,14 +13,37 @@ Each engine is bit-exact against the published reference vectors (see
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import List, Optional, Tuple
 
 __all__ = ["Crc", "CRC32", "CRC16_CCITT", "CRC24_BLE"]
 
 
+def _reflect(value: int, width: int) -> int:
+    """*value* with its low *width* bits in reverse order."""
+    out = 0
+    for _ in range(width):
+        out = (out << 1) | (value & 1)
+        value >>= 1
+    return out
+
+
+# Byte-wise bit reversal, in the form ``bytes.translate`` takes: a
+# normal-order (refin=False) engine reverses its input bytes with it and
+# then runs the same reflected loop as every other engine.
+_REFLECT_BYTES = bytes(_reflect(b, 8) for b in range(256))
+
+
 @dataclass(frozen=True)
 class Crc:
-    """A generic reflected-or-normal CRC defined by its classic parameters."""
+    """A generic reflected-or-normal CRC defined by its classic parameters.
+
+    :meth:`compute` runs the reflected (LSB-first) byte-at-a-time
+    recursion ``reg = (reg >> 8) ^ table[(reg & 0xFF) ^ byte]`` over a
+    256-entry table built once per engine.  A non-reflected input is
+    bit-reversed byte by byte first, and a non-reflected output is
+    reversed back at the end, so every parameter set shares that loop.
+    """
 
     width: int
     poly: int
@@ -30,12 +53,17 @@ class Crc:
     xorout: int
     name: str = "crc"
 
-    def _reflect(self, value: int, width: int) -> int:
-        out = 0
-        for _ in range(width):
-            out = (out << 1) | (value & 1)
-            value >>= 1
-        return out
+    @cached_property
+    def _table(self) -> Tuple[int, ...]:
+        """Register update for each low byte of the reflected register."""
+        rpoly = _reflect(self.poly, self.width)
+        table: List[int] = []
+        for byte in range(256):
+            reg = byte
+            for _ in range(8):
+                reg = (reg >> 1) ^ rpoly if reg & 1 else reg >> 1
+            table.append(reg)
+        return tuple(table)
 
     def compute(self, data: bytes, init: Optional[int] = None) -> int:
         """Return the CRC of *data* as an unsigned integer.
@@ -43,20 +71,16 @@ class Crc:
         *init* overrides the register seed (used by BLE, where the seed
         depends on the connection).
         """
-        topbit = 1 << (self.width - 1)
+        table = self._table
         mask = (1 << self.width) - 1
-        reg = self.init if init is None else init
+        reg = _reflect((self.init if init is None else init) & mask,
+                       self.width)
+        if not self.refin:
+            data = bytes(data).translate(_REFLECT_BYTES)
         for byte in data:
-            b = self._reflect(byte, 8) if self.refin else byte
-            reg ^= b << (self.width - 8)
-            reg &= mask
-            for _ in range(8):
-                if reg & topbit:
-                    reg = ((reg << 1) ^ self.poly) & mask
-                else:
-                    reg = (reg << 1) & mask
-        if self.refout:
-            reg = self._reflect(reg, self.width)
+            reg = (reg >> 8) ^ table[(reg & 0xFF) ^ byte]
+        if not self.refout:
+            reg = _reflect(reg, self.width)
         return (reg ^ self.xorout) & mask
 
     def digest(self, data: bytes, init: Optional[int] = None) -> bytes:

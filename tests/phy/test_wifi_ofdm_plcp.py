@@ -75,6 +75,60 @@ class TestOfdmRoundTrip:
         with pytest.raises(ValueError):
             OfdmModulator().demodulate_symbol(np.zeros(40, complex), 0)
 
+    def test_wrong_symbol_count_raises(self):
+        with pytest.raises(ValueError):
+            OfdmModulator().modulate_symbol(np.zeros(47, complex), 0)
+        with pytest.raises(ValueError):
+            OfdmModulator().modulate(np.zeros((3, 49), complex), 0)
+
+
+def reference_symbol(data_symbols, symbol_index):
+    """One symbol built subcarrier by subcarrier, with its own IFFT."""
+    grid = np.zeros(64, dtype=complex)
+    for sym, k in zip(data_symbols, DATA_SUBCARRIERS):
+        grid[k % 64] = sym
+    polarity = PILOT_POLARITY[symbol_index % 127]
+    for value, k in zip((1, 1, 1, -1), PILOT_SUBCARRIERS):
+        grid[k % 64] = value * polarity
+    time = np.fft.ifft(grid) * np.sqrt(64)
+    return np.concatenate([time[-16:], time])
+
+
+class TestModulateBitIdentity:
+    """The one-grid, one-IFFT modulate equals per-symbol modulation bit
+    for bit (compared as raw bytes, so even the sign of zero counts)."""
+
+    @pytest.mark.parametrize("first_index", [0, 1, 120, 127, 250])
+    def test_matrix_equals_concatenated_symbols(self, rng, first_index):
+        mod = OfdmModulator()
+        mat = (rng.integers(-3, 4, (140, 48))
+               + 1j * rng.integers(-3, 4, (140, 48))) / np.sqrt(10)
+        wave = mod.modulate(mat, first_index=first_index)
+        per_symbol = np.concatenate(
+            [mod.modulate_symbol(row, first_index + i)
+             for i, row in enumerate(mat)])
+        reference = np.concatenate(
+            [reference_symbol(row, first_index + i)
+             for i, row in enumerate(mat)])
+        assert wave.tobytes() == per_symbol.tobytes()
+        assert wave.tobytes() == reference.tobytes()
+
+    def test_pilot_polarity_wraps_after_127(self, rng):
+        mod = OfdmModulator()
+        syms = rng.normal(size=48) + 0j
+        assert (mod.modulate_symbol(syms, 130).tobytes()
+                == mod.modulate_symbol(syms, 3).tobytes())
+        assert (mod.modulate_symbol(syms, 130).tobytes()
+                == reference_symbol(syms, 130).tobytes())
+
+    def test_real_symbols_and_empty_matrix(self, rng):
+        mod = OfdmModulator()
+        syms = 1.0 - 2.0 * rng.integers(0, 2, 48)
+        assert (mod.modulate_symbol(syms, 0).tobytes()
+                == reference_symbol(syms, 0).tobytes())
+        empty = mod.modulate(np.zeros((0, 48), complex))
+        assert empty.size == 0 and empty.dtype == complex
+
 
 class TestSignalField:
     @pytest.mark.parametrize("mbps", sorted(WIFI_RATES))

@@ -88,3 +88,20 @@ class TestState:
         for b in outputs:
             expected = ((expected << 1) | b) & 0x7F
         assert s.state == expected
+
+    @pytest.mark.parametrize("n", [0, 1, 6, 7, 126, 127, 128, 254, 300])
+    def test_process_advances_state_like_next_bit(self, rng, n):
+        for seed in (1, 0b1011101, 127):
+            fast, slow = Scrambler(seed), Scrambler(seed)
+            data = random_bits(n, rng)
+            out = fast.process(data)
+            keystream = np.array([slow.next_bit() for _ in range(n)],
+                                 dtype=np.uint8)
+            assert np.array_equal(out, data ^ keystream)
+            assert fast.state == slow.state
+            # A second call continues the same stream.
+            more = random_bits(9, rng)
+            tail = np.array([slow.next_bit() for _ in range(9)],
+                            dtype=np.uint8)
+            assert np.array_equal(fast.process(more), more ^ tail)
+            assert fast.state == slow.state
