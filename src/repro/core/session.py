@@ -18,7 +18,7 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro import obs
-from repro.channel.awgn import awgn_apply_batch
+from repro.channel.awgn import NoiseArena, awgn_apply_batch
 from repro.obs import forensics
 from repro.core.decoder import SymbolDiffTagDecoder, XorTagDecoder
 from repro.core.translation import (
@@ -121,12 +121,15 @@ class PacketDraw:
     bit-identical to the scalar loop.
 
     ``result`` is set when a pre-decode gate already decided the packet
-    (envelope miss, sync miss); such draws carry no waveform.  Between
-    the two phases a pending draw holds only its standard-normal noise
-    draws (``z_re``/``z_im``) and the bits to modulate: the tag
-    modulation, power measurement, and noise scale are all deferred to
-    ``channel_packets``, which runs them over stacked arrays and fills
-    in ``sigma`` and ``noisy``.
+    (envelope miss, sync miss); such draws carry no waveform.  A pending
+    draw owns row ``row`` of a :class:`NoiseArena` shared by its flush:
+    the arena holds its standard-normal noise draws, and the bits to
+    modulate stay here.  The tag modulation, power measurement and noise
+    scale are deferred to ``channel_packets``, which runs them in place
+    in the arena and fills in ``sigma`` and ``noisy`` — a view of the
+    arena row, not a copy.  The arena belongs to the flush and is never
+    reused, so a ``noisy`` view stays valid and unchanged for as long as
+    a caller holds it.
     """
 
     excitation: Excitation
@@ -137,8 +140,23 @@ class PacketDraw:
     noise_var: float = 0.0              # receiver noise estimate (WiFi)
     snr_db: float = 0.0                 # link SNR, for forensic events
     sigma: float = 0.0                  # per-component noise std dev
-    z_re: Optional[np.ndarray] = None   # standard-normal draws, real part
-    z_im: Optional[np.ndarray] = None   # standard-normal draws, imag part
+    arena: Optional[NoiseArena] = None  # holds the noise draws, then noisy
+    row: int = -1                       # this packet's row in the arena
+
+
+def _arena_runs(draws: List[PacketDraw]) -> List[List[PacketDraw]]:
+    """Split *draws* (of one excitation, so of one sample length) into
+    maximal runs on consecutive rows of one arena, keeping their
+    order."""
+    runs: List[List[PacketDraw]] = []
+    for d in draws:
+        last = runs[-1][-1] if runs else None
+        if (last is not None and d.arena is last.arena
+                and d.row == last.row + 1):
+            runs[-1].append(d)
+        else:
+            runs.append([d])
+    return runs
 
 
 def _record_stage(obs_prefix: str, stage: str, snr_db: float,
@@ -159,14 +177,22 @@ class _BatchPacketMixin:
 
     The mixin owns the whole phase-1 pipeline: ``predraw_packet``
     makes every RNG draw in scalar order (tag bits, envelope gate,
-    sync gate, AWGN standard normals) and ``channel_packets`` turns a
-    batch of pending draws into noisy waveforms with one vectorised
-    scale-and-add per sample-length group.  Concrete sessions provide
+    sync gate, AWGN standard normals), writing the normals straight
+    into the next row of the flush's :class:`NoiseArena`, and
+    ``channel_packets`` turns the pending draws into noisy waveforms
+    in place in that arena: tag modulation, power and scale-and-add
+    run over views of consecutive rows, with no stacked copy between
+    the RNG and the receiver.  Whoever drives a flush sizes its arena
+    to the most packets it can draw (``draw_packets``: one row per SNR;
+    ``draw_packet``: one row; ``LinkSimulator.simulate_points``: the
+    points of one flush).  Concrete sessions provide
     three hooks for the radio-specific pieces — ``_default_tag_bits``,
     ``_sync_gate`` (default: no gate), ``_noise_var`` (default: none) —
     plus the decode trio: ``_batch_key`` groups draws that can share
     one stacked decode, ``_decode_batch`` runs the vectorised receiver
-    over one group, and ``_finish_packet`` turns one decode into a
+    over one group (whose waveforms ``_noisy_stack`` hands over as an
+    arena view when the group's rows are consecutive), and
+    ``_finish_packet`` turns one decode into a
     :class:`SessionResult`.  ``run_packet`` and ``run_packets`` are
     then the scalar and batched drivers over the same pieces.
     """
@@ -174,11 +200,15 @@ class _BatchPacketMixin:
     _obs: str
     _rng: np.random.Generator
     tag: FreeRiderTag
-    # Packets stacked per channel/decode pass in run_packets; bounds the
-    # working set (clean + noisy + noise draws) to stay cache-friendly.
-    # Radios whose receiver has enough per-packet Python overhead to
-    # amortise (WiFi's Viterbi) override this upward; the channel-bound
-    # radios (ZigBee, BLE) lose bandwidth on big stacks.
+    # Packets stacked per channel/decode pass in run_packets (and the
+    # packets a simulate_points flush reaches); it sets the noise arena's
+    # size, which is the stage's working set.  Since the channel runs in
+    # place, bigger stacks no longer lose bandwidth: on a 2-core Xeon
+    # the Fig-12/13 sweeps (12 packets a point) ran ZigBee at about the
+    # same rate and BLE some 10-15% faster with 48-row flushes than
+    # with 24, but peak RSS grew from 76 to 110 MB, so the narrowband
+    # radios keep 16.  WiFi, whose Viterbi amortises per-call Python
+    # overhead, overrides this upward.
     _chunk_packets: int = 16
 
     # -- radio-specific phase-1 hooks -----------------------------------
@@ -201,13 +231,15 @@ class _BatchPacketMixin:
     def predraw_packet(self, snr_db: float, tag_bits: Any = None,
                        incident_power_dbm: Optional[float] = None,
                        rng: Optional[np.random.Generator] = None,
-                       excitation: Optional[Excitation] = None) -> PacketDraw:
+                       excitation: Optional[Excitation] = None,
+                       arena: Optional[NoiseArena] = None) -> PacketDraw:
         """Every RNG draw of one packet, in exactly the scalar order
         (tag bits, envelope gate, sync gate, AWGN normals).  The noise
-        is *drawn* but not yet *applied* — and the tag modulation is
-        deferred entirely: hand the result (alone or stacked with
-        others) to :meth:`channel_packets`, which runs the control
-        waveforms, power measurement, and noise as stacked arrays."""
+        is *drawn* into the next row of *arena* (a one-row arena of its
+        own by default) but not yet *applied* — and the tag modulation
+        is deferred entirely: hand the result (alone or with the rest of
+        its flush) to :meth:`channel_packets`, which runs the control
+        waveforms, power measurement and noise in place in the arena."""
         gen = make_rng(rng if rng is not None else self._rng)
         if excitation is None:
             excitation = self.make_excitation()
@@ -234,24 +266,30 @@ class _BatchPacketMixin:
 
         with obs.timed(self._obs + ".channel",
                        hist=self._obs + ".channel.seconds"):
-            n = info.total_samples
-            z_re, z_im = gen.standard_normal(n), gen.standard_normal(n)
+            if arena is None:
+                arena = NoiseArena(1)
+            row = arena.draw(gen, info.total_samples)
         return PacketDraw(excitation, int(send.size), send, None,
                           noise_var=self._noise_var(snr_db), snr_db=snr_db,
-                          z_re=z_re, z_im=z_im)
+                          arena=arena, row=row)
 
     def channel_packets(self,
                         draws: Sequence[PacketDraw]) -> List[PacketDraw]:
         """Tag modulation plus pre-drawn AWGN for every pending draw,
-        vectorised across packets: one stacked control-waveform multiply
-        and power measurement per shared excitation, then one stacked
-        scale-and-add of the pre-drawn noise per group.  Each row
-        performs
-        exactly the scalar chain's elementwise operations (and the
-        row-wise mean matches the 1-D mean bit for bit), so results are
-        bit-identical to backscattering and noising packets one at a
-        time.  Early-gated draws pass through untouched; the input
-        order is preserved."""
+        in place in the draws' noise arenas.
+
+        Draws are grouped by shared excitation, and each group splits
+        into runs of consecutive rows of one arena.  Per run, the
+        control waveforms are written into the arena's complex rows and
+        multiplied by the frame there (``np.multiply(..., out=)``); each
+        row's power goes through a one-row scratch buffer (``abs``,
+        ``square``, ``mean``); and :func:`awgn_apply_batch` scales the
+        drawn normals in place and adds them to the rows' real and
+        imaginary planes.  Every step is the scalar chain's elementwise
+        IEEE operation (and the one-row mean is the stacked row-wise
+        mean), so results are bit-identical to backscattering and
+        noising packets one at a time.  Early-gated draws pass through
+        untouched; the input order is preserved."""
         pending = [d for d in draws if d.result is None and d.noisy is None]
         if not pending:
             return list(draws)
@@ -263,44 +301,54 @@ class _BatchPacketMixin:
             for members in by_exc.values():
                 exc = members[0].excitation
                 frame, info = exc.frame, exc.info
-                if frame.samples.size != info.total_samples:
+                n = info.total_samples
+                if frame.samples.size != n:
                     raise ValueError("excitation length disagrees with info")
                 plan = self.tag.plan_for(info)
-                batch_builder = getattr(self.tag.translator,
-                                        "control_waveform_batch", None)
-                if (batch_builder is not None and len(
-                        {d.sent_bits.size for d in members}) == 1):
-                    ctrl = batch_builder([d.sent_bits for d in members],
-                                         plan, info.total_samples)
-                else:
-                    ctrl = np.stack([
-                        self.tag.translator.control_waveform(
-                            d.sent_bits, plan, info.total_samples)
-                        for d in members])
-                clean = frame.samples[None, :] * ctrl
-                power = np.mean(np.abs(clean) ** 2, axis=1)
-                for k, d in enumerate(members):
-                    noise_power = float(power[k]) / 10 ** (d.snr_db / 10)
-                    d.sigma = float(np.sqrt(noise_power / 2))
-                # AWGN per excitation group: scale-and-add is elementwise
-                # per row, so grouping is free to follow the stacks we
-                # already have — re-stacking by sample length would only
-                # buy a concatenate copy of the largest matrix.
-                noisy = awgn_apply_batch(
-                    clean, np.array([d.sigma for d in members]),
-                    np.stack([d.z_re for d in members]),
-                    np.stack([d.z_im for d in members]))
-                for k, d in enumerate(members):
-                    d.noisy = noisy[k]
-                    d.z_re = d.z_im = None
+                scratch = np.empty(n)
+                for run in _arena_runs(members):
+                    arena, r0 = run[0].arena, run[0].row
+                    assert arena is not None
+                    rows = slice(r0, r0 + len(run))
+                    noisy = arena.noisy(n)[rows]
+                    self._write_control(run, plan, n, noisy)
+                    np.multiply(frame.samples, noisy, out=noisy)
+                    sigmas = np.empty(len(run))
+                    for k, d in enumerate(run):
+                        np.abs(noisy[k], out=scratch)
+                        np.square(scratch, out=scratch)
+                        noise_power = (float(scratch.mean())
+                                       / 10 ** (d.snr_db / 10))
+                        d.sigma = float(np.sqrt(noise_power / 2))
+                        sigmas[k] = d.sigma
+                    awgn_apply_batch(noisy, sigmas, arena.z(n)[:, rows])
+                    for k, d in enumerate(run):
+                        d.noisy = noisy[k]
+                    arena.channelled(len(run))
         return list(draws)
+
+    def _write_control(self, run: List[PacketDraw], plan: Any, n: int,
+                       out: np.ndarray) -> None:
+        """Write each draw's control waveform into its row of *out*:
+        one stacked build when the translator has one and the bit rows
+        agree in length, else row by row."""
+        translator = self.tag.translator
+        batch_builder = getattr(translator, "control_waveform_batch", None)
+        bit_rows = [d.sent_bits for d in run if d.sent_bits is not None]
+        assert len(bit_rows) == len(run)
+        if batch_builder is not None and len(
+                {b.size for b in bit_rows}) == 1:
+            batch_builder(bit_rows, plan, n, out=out)
+        else:
+            for k, bits in enumerate(bit_rows):
+                out[k] = translator.control_waveform(bits, plan, n)
 
     def draw_packet(self, snr_db: float, tag_bits: Any = None,
                     incident_power_dbm: Optional[float] = None,
                     rng: Optional[np.random.Generator] = None,
                     excitation: Optional[Excitation] = None) -> PacketDraw:
-        """Phase 1 of a packet, noise applied: ``predraw_packet`` plus a
-        single-packet ``channel_packets``."""
+        """Phase 1 of a packet, noise applied: ``predraw_packet`` into
+        a one-row arena plus a single-packet ``channel_packets``."""
         pre = self.predraw_packet(snr_db, tag_bits=tag_bits,
                                   incident_power_dbm=incident_power_dbm,
                                   rng=rng, excitation=excitation)
@@ -321,6 +369,25 @@ class _BatchPacketMixin:
         noisy = draw.noisy
         assert noisy is not None
         return (noisy.size,)
+
+    @staticmethod
+    def _noisy_stack(draws: List[PacketDraw]) -> np.ndarray:
+        """The (B, N) waveforms of one decode group.
+
+        When the group's draws sit on consecutive rows of one arena,
+        this is the arena's own view of those rows, so the receiver
+        reads the channel's output without a copy; otherwise (draws
+        from several flushes, or ``decode_iq`` replay) the rows are
+        stacked.  Receivers read their input and never write to it.
+        """
+        first = draws[0]
+        if first.arena is not None and first.noisy is not None:
+            block = first.arena.noisy(first.noisy.size)
+            if all(d.arena is first.arena and d.row == first.row + k
+                   and d.noisy is not None and d.noisy.base is block
+                   for k, d in enumerate(draws)):
+                return block[first.row:first.row + len(draws)]
+        return np.stack([d.noisy for d in draws])
 
     def run_packet(self, snr_db: float, tag_bits: Any = None,
                    incident_power_dbm: Optional[float] = None,
@@ -386,12 +453,11 @@ class _BatchPacketMixin:
         ``[run_packet(snr, ...) for snr in snrs_db]`` under the same
         generator.  *tag_bits*, when given, is one bit array per packet.
 
-        Packets are processed in chunks of ``_chunk_packets`` to keep
-        the stacked waveforms cache-resident — elementwise channel math
-        on very large matrices runs memory-bound and can end up slower
-        than the scalar loop.  Chunking only regroups exact elementwise
-        arithmetic (the RNG phase stays strictly in packet order), so
-        results are unchanged.
+        Packets are processed in chunks of ``_chunk_packets``, each
+        with its own noise arena, which bounds the memory held at once.
+        Chunking only regroups exact elementwise arithmetic (the RNG
+        phase stays strictly in packet order), so results are
+        unchanged.
         """
         gen = make_rng(rng if rng is not None else self._rng)
         results: List[SessionResult] = []
@@ -413,14 +479,16 @@ class _BatchPacketMixin:
                      excitation: Optional[Excitation] = None
                      ) -> List[PacketDraw]:
         """Phase 1 over many packets: sequential RNG draws (scalar
-        order), then one batched channel pass."""
+        order) into one arena of ``len(snrs_db)`` rows, then one
+        channel pass in place."""
         gen = make_rng(rng if rng is not None else self._rng)
+        arena = NoiseArena(max(len(snrs_db), 1))
         draws = [
             self.predraw_packet(
                 float(snr),
                 tag_bits=None if tag_bits is None else tag_bits[i],
                 incident_power_dbm=incident_power_dbm,
-                rng=gen, excitation=excitation)
+                rng=gen, excitation=excitation, arena=arena)
             for i, snr in enumerate(snrs_db)]
         return self.channel_packets(draws)
 
@@ -504,8 +572,7 @@ class WifiBackscatterSession(_BatchPacketMixin):
     unit_samples = 80  # one OFDM symbol at 20 MS/s
     oversample_factor = 1  # sample rate equals channel bandwidth
     # Viterbi dominates the WiFi receiver, so bigger stacks keep
-    # amortising Python overhead long after the channel math goes
-    # memory-bound.
+    # amortising its per-call Python overhead.
     _chunk_packets = 64
     # Real 802.11 sync (STF detection, AGC, CFO) fails near 0 dB SNR even
     # though an ideal-timing Viterbi would still decode; model it as a
@@ -609,7 +676,7 @@ class WifiBackscatterSession(_BatchPacketMixin):
         return self.receiver.decode(draw.noisy, noise_var=draw.noise_var)
 
     def _decode_batch(self, draws: List[PacketDraw]) -> List[Any]:
-        waveforms = np.stack([d.noisy for d in draws])
+        waveforms = self._noisy_stack(draws)
         noise_vars = np.array([d.noise_var for d in draws])
         return self.receiver.decode_batch(waveforms, noise_vars)
 
@@ -733,7 +800,7 @@ class ZigbeeBackscatterSession(_BatchPacketMixin):
                                     draw.excitation.frame.n_symbols)
 
     def _decode_batch(self, draws: List[PacketDraw]) -> List[Any]:
-        waveforms = np.stack([d.noisy for d in draws])
+        waveforms = self._noisy_stack(draws)
         return self.receiver.decode_batch(
             waveforms, draws[0].excitation.frame.n_symbols)
 
@@ -829,7 +896,7 @@ class BleBackscatterSession(_BatchPacketMixin):
                                          draw.excitation.frame.n_bits)
 
     def _decode_batch(self, draws: List[PacketDraw]) -> List[Any]:
-        waveforms = np.stack([d.noisy for d in draws])
+        waveforms = self._noisy_stack(draws)
         rows = self.receiver.decode_bits_batch(
             waveforms, draws[0].excitation.frame.n_bits)
         return list(rows)
@@ -929,7 +996,7 @@ class DsssBackscatterSession(_BatchPacketMixin):
                                     draw.excitation.frame.n_bits)
 
     def _decode_batch(self, draws: List[PacketDraw]) -> List[Any]:
-        waveforms = np.stack([d.noisy for d in draws])
+        waveforms = self._noisy_stack(draws)
         return self.receiver.decode_batch(
             waveforms, draws[0].excitation.frame.n_bits)
 
@@ -1058,7 +1125,7 @@ class QuaternaryWifiSession(_BatchPacketMixin):
         return self.receiver.decode(draw.noisy, noise_var=draw.noise_var)
 
     def _decode_batch(self, draws: List[PacketDraw]) -> List[Any]:
-        waveforms = np.stack([d.noisy for d in draws])
+        waveforms = self._noisy_stack(draws)
         noise_vars = np.array([d.noise_var for d in draws])
         return self.receiver.decode_batch(waveforms, noise_vars)
 

@@ -15,7 +15,7 @@ convolutional coder (section 3.2.1) or OQPSK offset structure (3.2.2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -28,6 +28,32 @@ BitsLike = Union[Sequence[int], np.ndarray, str]
 __all__ = ["TranslationPlan", "PhaseTranslator", "AlternatingPhaseTranslator",
            "AmplitudeTranslator", "FskShiftTranslator",
            "bits_per_symbol_for_phase_levels"]
+
+
+def _rows_outside(out: Optional[np.ndarray], shape: Tuple[int, int],
+                  dtype: type, start: int, stop: int) -> np.ndarray:
+    """*out* (checked against *shape*), or a new array of *dtype*, with
+    ones in every column outside ``[start, stop)``; the caller writes
+    the columns inside."""
+    if out is None:
+        ctrl = np.empty(shape, dtype=dtype)
+    elif out.shape != shape:
+        raise ValueError(f"out has shape {out.shape}, expected {shape}")
+    else:
+        ctrl = out
+    ctrl[:, :start] = 1
+    ctrl[:, stop:] = 1
+    return ctrl
+
+
+def _spans(ctrl: np.ndarray, start: int, n_spans: int,
+           step: int) -> np.ndarray:
+    """(B, n_spans, step) view of the columns ``[start, start + n_spans
+    * step)`` of a (B, N) array: one entry per tag-symbol span."""
+    view = ctrl[:, start:start + n_spans * step].reshape(
+        ctrl.shape[0], n_spans, step)
+    assert np.may_share_memory(view, ctrl)  # splitting an axis is a view
+    return view
 
 
 def bits_per_symbol_for_phase_levels(n_levels: int) -> int:
@@ -138,14 +164,17 @@ class PhaseTranslator:
 
     def control_waveform_batch(self, bit_rows: Sequence[BitsLike],
                                plan: TranslationPlan,
-                               total_samples: int) -> np.ndarray:
+                               total_samples: int,
+                               out: Optional[np.ndarray] = None
+                               ) -> np.ndarray:
         """Stacked :meth:`control_waveform` over same-length bit rows.
 
         Tag symbols cover contiguous, back-to-back sample spans, so the
-        whole modulated region is one ``repeat`` of per-symbol phasors.
+        whole modulated region is one broadcast of per-symbol phasors.
         The phasor for each level is ``np.exp`` of exactly the scalar
         builder's argument, making every row bit-identical to building
-        it alone — which the batched channel relies on.
+        it alone — which the batched channel relies on.  With *out* (a
+        complex (B, total_samples) array) the rows are written there.
         """
         levels = np.stack([self.symbols_from_bits(b) for b in bit_rows])
         n_sym = levels.shape[1]
@@ -153,15 +182,16 @@ class PhaseTranslator:
             raise ValueError(
                 f"{n_sym} tag symbols exceed capacity "
                 f"{plan.symbols_capacity}")
-        ctrl = np.ones((levels.shape[0], total_samples), dtype=complex)
+        step = plan.unit_samples * plan.repetition
+        start = plan.start_sample
+        stop = start + n_sym * step
+        if n_sym and stop > total_samples:
+            raise ValueError("translation plan overruns the packet")
+        ctrl = _rows_outside(out, (levels.shape[0], total_samples), complex,
+                             start, stop)
         if n_sym:
-            step = plan.unit_samples * plan.repetition
-            stop = plan.start_sample + n_sym * step
-            if stop > total_samples:
-                raise ValueError("translation plan overruns the packet")
             phasors = np.exp(1j * self.delta_theta * np.arange(self.n_levels))
-            ctrl[:, plan.start_sample:stop] = np.repeat(
-                phasors[levels], step, axis=1)
+            _spans(ctrl, start, n_sym, step)[...] = phasors[levels][:, :, None]
         return ctrl
 
 
@@ -308,28 +338,35 @@ class FskShiftTranslator:
 
     def control_waveform_batch(self, bit_rows: Sequence[BitsLike],
                                plan: TranslationPlan,
-                               total_samples: int) -> np.ndarray:
+                               total_samples: int,
+                               out: Optional[np.ndarray] = None
+                               ) -> np.ndarray:
         """Stacked :meth:`control_waveform` over same-length bit rows.
 
         The square wave is evaluated once on the global time axis (as
-        the scalar builder does) and selected per 1-bit span with
-        ``np.where``, so every row carries exactly the values the
-        scalar builder would have written — bit rows only choose
-        between ``sq[span]`` and the +1 rest state.
+        the scalar builder does) and copied into each 1-bit span, so
+        every row carries exactly the values the scalar builder would
+        have written — bit rows only choose between ``sq[span]`` and
+        the +1 rest state.  With *out* the rows are written there; a
+        complex *out* holds them as ``v + 0j``, the value a complex
+        multiply casts the real rows to anyway.
         """
         rows = np.stack([as_bits(b) for b in bit_rows])
         n_bits = rows.shape[1]
         if n_bits > plan.symbols_capacity:
             raise ValueError(
                 f"{n_bits} tag bits exceed capacity {plan.symbols_capacity}")
-        ctrl = np.ones((rows.shape[0], total_samples), dtype=float)
+        step = plan.unit_samples * plan.repetition
+        start = plan.start_sample
+        stop = start + n_bits * step
+        if n_bits and stop > total_samples:
+            raise ValueError("translation plan overruns the packet")
+        ctrl = _rows_outside(out, (rows.shape[0], total_samples), float,
+                             start, stop)
         if n_bits:
-            step = plan.unit_samples * plan.repetition
-            stop = plan.start_sample + n_bits * step
-            if stop > total_samples:
-                raise ValueError("translation plan overruns the packet")
             sq = square_wave(total_samples, self.delta_f, self.sample_rate_hz)
-            mask = np.repeat(rows.astype(bool), step, axis=1)
-            ctrl[:, plan.start_sample:stop] = np.where(
-                mask, sq[plan.start_sample:stop], 1.0)
+            spans = _spans(ctrl, start, n_bits, step)
+            spans[...] = 1
+            np.copyto(spans, sq[start:stop].reshape(1, n_bits, step),
+                      where=rows.astype(bool)[:, :, None])
         return ctrl

@@ -102,7 +102,9 @@ class GfskModem:
             cached = (np.fft.fft(h, m), h.size, m)
             self._fir_cache[key] = cached
         spectrum, n_taps, m = cached
-        full = np.fft.ifft(np.fft.fft(wav, m, axis=-1) * spectrum, axis=-1)
+        product = np.fft.fft(wav, m, axis=-1)
+        product *= spectrum
+        full = np.fft.ifft(product, axis=-1)
         lo = (n_taps - 1) // 2  # np.convolve mode="same" central slice
         return full[..., lo:lo + n]
 
@@ -134,9 +136,13 @@ class GfskModem:
         wav = np.asarray(waveforms)
         if wav.ndim != 2:
             raise ValueError("discriminate_batch expects a (B, N) array")
-        prod = wav[:, 1:] * np.conj(wav[:, :-1])
-        return np.concatenate(
-            [np.zeros((wav.shape[0], 1)), np.angle(prod)], axis=1)
+        prod = np.conj(wav[:, :-1])
+        np.multiply(wav[:, 1:], prod, out=prod)
+        freq = np.empty(wav.shape)
+        freq[:, :1] = 0.0
+        # np.angle is exactly arctan2(imag, real); write it in place.
+        np.arctan2(prod.imag, prod.real, out=freq[:, 1:])
+        return freq
 
     def demodulate_soft_batch(self, waveforms: np.ndarray,
                               n_bits: int) -> np.ndarray:

@@ -8,11 +8,18 @@ stream, so complementing a window of input bits complements the outputs
 
 from __future__ import annotations
 
+import functools
+from typing import Tuple
+
 import numpy as np
 
 from repro.utils.bits import as_bits
 
 __all__ = ["Whitener", "whiten", "dewhiten"]
+
+# x^7 + x^4 + 1 is primitive, so every non-zero register state recurs
+# after exactly 127 steps.
+PERIOD = 127
 
 
 class Whitener:
@@ -36,21 +43,47 @@ class Whitener:
 
     def next_bit(self) -> int:
         """Advance one position; output is register bit 6 (x^7 tap)."""
-        s = self._state
-        out = (s >> 6) & 1
-        s = ((s << 1) & 0x7F)
-        if out:
-            s ^= 0x11  # feed back into positions 0 and 4
-        self._state = s
+        self._state, out = _step(self._state)
         return out
 
     def keystream(self, n: int) -> np.ndarray:
-        return np.array([self.next_bit() for _ in range(n)], dtype=np.uint8)
+        """The next *n* keystream bits; the register advances *n* steps.
+
+        Tiles one 127-bit period of the register's output and lands on
+        the state ``n mod 127`` steps on, so a whole packet costs no
+        per-bit Python — the same bits and final state as *n*
+        :meth:`next_bit` calls.
+        """
+        bits, states = _cycle(self._state)
+        self._state = states[n % PERIOD]
+        return np.resize(bits, n)
 
     def process(self, bits) -> np.ndarray:
         """Whiten (or de-whiten — XOR is an involution) a bit array."""
         arr = as_bits(bits)
         return np.bitwise_xor(arr, self.keystream(arr.size))
+
+
+def _step(state: int) -> Tuple[int, int]:
+    """One register step: (next state, output bit)."""
+    out = (state >> 6) & 1
+    state = (state << 1) & 0x7F
+    if out:
+        state ^= 0x11  # feed back into positions 0 and 4
+    return state, out
+
+
+@functools.lru_cache(maxsize=PERIOD)
+def _cycle(state: int) -> Tuple[np.ndarray, Tuple[int, ...]]:
+    """One period from *state*: the 127 output bits (read-only) and the
+    state after k steps for k = 0..126."""
+    bits = np.empty(PERIOD, dtype=np.uint8)
+    states = []
+    for k in range(PERIOD):
+        states.append(state)
+        state, bits[k] = _step(state)
+    bits.flags.writeable = False
+    return bits, tuple(states)
 
 
 def whiten(bits, channel: int = 37) -> np.ndarray:

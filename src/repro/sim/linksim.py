@@ -29,6 +29,7 @@ from typing import Any, Iterable, List, Optional, Sequence
 import numpy as np
 
 from repro import obs
+from repro.channel.awgn import NoiseArena
 from repro.channel.geometry import Deployment
 from repro.core.registry import session_from_config
 from repro.sim.config import RadioConfig
@@ -36,12 +37,11 @@ from repro.utils.rng import derive_seed, make_rng
 
 __all__ = ["LinkPoint", "LinkSimulator"]
 
-# Fallback upper bound on waveforms held in stacked form at once during
-# cross-point batching: bounds peak memory and keeps the elementwise
-# channel math cache-resident (large stacks go memory-bound and lose to
-# the scalar loop) without changing any result — chunk boundaries only
-# regroup exact elementwise arithmetic.  Sessions carry their own tuned
-# ``_chunk_packets`` which takes precedence.
+# Fallback bound on the packets one cross-point flush stacks: it sizes
+# the flush's noise arena and so bounds peak memory, without changing
+# any result — flush boundaries only regroup exact elementwise
+# arithmetic.  Sessions carry their own tuned ``_chunk_packets`` which
+# takes precedence.
 _CHUNK_PACKETS = 16
 
 
@@ -166,17 +166,21 @@ class LinkSimulator:
                         rng: Optional[np.random.Generator],
                         share_excitation: bool) -> LinkPoint:
         gen = self._rng if rng is None else make_rng(rng)
-        pending = self._point_phase1(distance_m, gen, share_excitation)
+        pending = self._point_phase1(
+            distance_m, gen, share_excitation,
+            NoiseArena(max(1, self.packets_per_point)))
         if pending.draws:
             self.session.channel_packets(pending.draws)
             pending.results = list(self.session.finish_packets(pending.draws))
         return self._point_finish(pending)
 
     def _point_phase1(self, distance_m: float, gen: np.random.Generator,
-                      share_excitation: bool) -> "_PendingPoint":
+                      share_excitation: bool,
+                      arena: NoiseArena) -> "_PendingPoint":
         """Phase 1 of one distance point: link budget, then per packet
         the fading draw interleaved with the session's own draws,
-        exactly as the scalar loop orders them.
+        exactly as the scalar loop orders them.  On the batch path each
+        packet's noise is drawn into the next row of *arena*.
 
         On the batch path the returned draws still await their channel
         (``session.channel_packets``) and decode; on the scalar
@@ -213,7 +217,7 @@ class LinkSimulator:
             if use_batch:
                 draws.append(self.session.predraw_packet(
                     snr_db=snr, incident_power_dbm=incident,
-                    rng=gen, excitation=excitation))
+                    rng=gen, excitation=excitation, arena=arena))
             else:
                 results.append(self.session.run_packet(
                     snr_db=snr, incident_power_dbm=incident,
@@ -258,10 +262,16 @@ class LinkSimulator:
 
         Phase 1 runs per point in order (each point's RNG draws are
         identical to the per-point loop), then the channel and decode
-        are stacked *across* points in chunks of up to the session's
-        ``_chunk_packets`` — so a whole sweep amortises the
+        are stacked *across* points — so a whole sweep amortises the
         vectorised receiver kernels even when each point only carries a
-        handful of packets.  Bit-identical to the per-point loop.  A
+        handful of packets.  A flush covers the fewest whole points
+        whose packets reach the session's ``_chunk_packets``; its noise
+        goes into one :class:`~repro.channel.awgn.NoiseArena` with a row
+        for every packet those points can draw (at most
+        ``_chunk_packets - 1 + packets_per_point``, and never more than
+        the points left), and the flush runs as soon as the arena
+        cannot take another whole point.  Bit-identical to the
+        per-point loop.  A
         session without the two-phase batch API (or ``batch=False``)
         runs each point's scalar chain inside phase 1 instead, so every
         session takes this path.  Each point's ``sim.point`` span covers
@@ -285,6 +295,9 @@ class LinkSimulator:
         pendings: List[_PendingPoint] = []
         buffered: List[Any] = []           # (point idx, packet idx, draw)
         chunk = int(getattr(session, "_chunk_packets", _CHUNK_PACKETS))
+        ppp = self.packets_per_point
+        flush_points = -(-chunk // ppp) if ppp > 0 else 1
+        arena: Optional[NoiseArena] = None
 
         def point_scope(idx: int):
             return (obs.collect_into(registries[idx])
@@ -305,17 +318,20 @@ class LinkSimulator:
                                                decodes[k:j]):
                         pendings[pi].results[di] = \
                             session.finish_packet(d, dec)
-                        d.noisy = None
+                        d.noisy = d.arena = None
                 k = j
             buffered.clear()
 
         for idx, dist in enumerate(distances_m):
             gen = self._rng if rngs is None else make_rng(rngs[idx])
+            if arena is None:
+                points = min(flush_points, len(distances_m) - idx)
+                arena = NoiseArena(max(1, points * ppp))
             with point_scope(idx), obs.span("sim.point",
                                             distance_m=float(dist),
                                             packets=self.packets_per_point):
                 pending = self._point_phase1(float(dist), gen,
-                                             share_excitation)
+                                             share_excitation, arena)
             if pending.draws:
                 pending.results = [None] * len(pending.draws)
                 for di, d in enumerate(pending.draws):
@@ -324,8 +340,12 @@ class LinkSimulator:
                     else:
                         buffered.append((idx, di, d))
             pendings.append(pending)
-            if len(buffered) >= chunk:
-                flush()
+            # Once ``chunk`` packets are buffered the arena has fewer
+            # than ``ppp`` rows left, so this also flushes every chunk.
+            if arena.rows - arena.used < ppp:
+                if buffered:
+                    flush()
+                arena = None
         if buffered:
             flush()
         return [self._point_finish(p) for p in pendings]

@@ -35,6 +35,36 @@ class TestWhitening:
         assert np.array_equal(out[40:80], bits[40:80] ^ 1)
         assert np.array_equal(out[:40], bits[:40])
 
+    @pytest.mark.parametrize("channel", [0, 21, 37, 39])
+    @pytest.mark.parametrize("n", [0, 1, 126, 127, 128, 1000])
+    def test_keystream_equals_bit_serial_register(self, channel, n):
+        """The period-127 keystream and the register it leaves behind
+        match n single-step ``next_bit`` calls."""
+        fast, serial = Whitener(channel), Whitener(channel)
+        ks = fast.keystream(n)
+        ref = np.array([serial.next_bit() for _ in range(n)],
+                       dtype=np.uint8)
+        assert ks.dtype == np.uint8 and ks.tobytes() == ref.tobytes()
+        assert fast.state == serial.state
+        # The stream keeps agreeing after the jump.
+        assert [fast.next_bit() for _ in range(130)] == \
+            [serial.next_bit() for _ in range(130)]
+
+    @pytest.mark.parametrize("n", [0, 1, 126, 127, 128, 1000])
+    def test_process_equals_bit_serial_xor(self, rng, n):
+        bits = random_bits(n, rng)
+        w, serial = Whitener(37), Whitener(37)
+        out = w.process(bits)
+        ref = bits ^ np.array([serial.next_bit() for _ in range(n)],
+                              dtype=np.uint8)
+        assert out.tobytes() == ref.tobytes()
+        assert w.state == serial.state
+
+    def test_keystream_is_a_fresh_writable_array(self):
+        a = Whitener(37).keystream(200)
+        a[:] ^= 1  # must not corrupt the cached period
+        assert Whitener(37).keystream(200).tobytes() == (a ^ 1).tobytes()
+
 
 class TestGfsk:
     def test_round_trip(self, rng):
