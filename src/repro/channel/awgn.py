@@ -65,6 +65,13 @@ class NoiseArena:
         self._z: Dict[int, np.ndarray] = {}
         self._next: Dict[int, int] = {}
 
+    @staticmethod
+    def row_bytes(n: int) -> int:
+        """Bytes one row of sample length *n* takes: the complex
+        waveform plus its two planes of standard normals."""
+        return n * (np.dtype(complex).itemsize
+                    + 2 * np.dtype(float).itemsize)
+
     @property
     def allocated(self) -> int:
         """Rows allocated so far, over all sample lengths."""

@@ -18,6 +18,10 @@ from repro.utils.bits import as_bits
 
 __all__ = ["Constellation", "CONSTELLATIONS"]
 
+# demodulate_soft_batch computes symbol-to-point distances for blocks of
+# at most this many (symbol, point) pairs: 256 KiB of float distances.
+_DEMAP_BLOCK = 1 << 15
+
 
 def _gray_axis(n_bits: int) -> np.ndarray:
     """Gray-coded PAM levels for one axis: n_bits -> 2^n_bits levels."""
@@ -83,24 +87,32 @@ class Constellation:
         Returns a (B, S*bits_per_symbol) array; row *i* is bit-identical
         to ``demodulate_soft(symbols[i], noise_vars[i])`` — the distance
         computation is elementwise and the per-bit minimum reduces over
-        the constellation axis, so stacking rows changes nothing.
+        the constellation axis, so stacking rows changes nothing.  The
+        distances are computed for one block of symbols at a time, so
+        the working set stays small whatever the stack size.
         """
         sym2 = np.asarray(symbols)
         if sym2.ndim != 2:
             raise ValueError("demodulate_soft_batch expects a (B, S) array")
         n_b, n_s = sym2.shape
-        flat = sym2.ravel()
-        d2 = np.abs(flat[:, None] - self.points[None, :]) ** 2
+        flat = sym2.reshape(-1)
         n = self.bits_per_symbol
         idx = np.arange(self.points.size)
-        llrs = np.empty((flat.size, n))
-        for b in range(n):
-            bit_of_point = (idx >> (n - 1 - b)) & 1
-            d0 = d2[:, bit_of_point == 0].min(axis=1)
-            d1 = d2[:, bit_of_point == 1].min(axis=1)
-            llrs[:, b] = d1 - d0
+        bit_of_point = [(idx >> (n - 1 - b)) & 1 for b in range(n)]
+        llrs = np.empty((n_b, n_s * n))
+        per_bit = llrs.reshape(flat.size, n)
+        step = max(1, _DEMAP_BLOCK // self.points.size)
+        for a in range(0, flat.size, step):
+            seg = flat[a:a + step]
+            d2 = np.abs(seg[:, None] - self.points[None, :])
+            np.square(d2, out=d2)  # what ``** 2`` computes, in place
+            for b, bits in enumerate(bit_of_point):
+                d0 = d2[:, bits == 0].min(axis=1)
+                d1 = d2[:, bits == 1].min(axis=1)
+                np.subtract(d1, d0, out=per_bit[a:a + step, b])
         nv = np.maximum(np.asarray(noise_vars, dtype=float), 1e-12)
-        return llrs.reshape(n_b, n_s * n) / nv[:, None]
+        llrs /= nv[:, None]
+        return llrs
 
     def min_distance(self) -> float:
         """Minimum Euclidean distance between constellation points."""

@@ -44,8 +44,9 @@ _AcsTables = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
 _Received = Union[np.ndarray, Sequence[Any]]
 
 # decode_batch gathers branch metrics for a block of Viterbi steps at a
-# time; this caps one block at steps * transitions * rows floats (2 MiB).
-_ACS_BLOCK = 1 << 18
+# time, and packs and unpacks the survivor choices per block; this caps
+# one block at steps * transitions * rows floats (512 KiB).
+_ACS_BLOCK = 1 << 16
 
 
 @dataclass
@@ -266,9 +267,9 @@ class ConvolutionalCode:
         if block.ndim != 2:
             raise ValueError("decode_batch expects a (B, L) array")
         if soft:
-            llr2 = block.astype(float)
+            llr2 = np.asarray(block, dtype=float)
         else:
-            llr2 = 1.0 - 2.0 * block.astype(float)
+            llr2 = 1.0 - 2.0 * np.asarray(block, dtype=float)
         # Rows share a length, so depuncturing one row fixes the layout
         # for all of them (pure scatter: float values are untouched).
         pattern = PUNCTURE_PATTERNS[rate]
@@ -293,8 +294,8 @@ class ConvolutionalCode:
         # Which of the four values below is each flat (slot-major)
         # transition's branch metric: 2*[e0 == -1] + [e1 == -1].
         metric_index = 2 * (exp0_flat < 0) + (exp1_flat < 0)
-        llr_even = np.ascontiguousarray(llr2[:, 0::2].T)  # (n_steps, B)
-        llr_odd = np.ascontiguousarray(llr2[:, 1::2].T)
+        llr_even = llr2[:, 0::2].T  # (n_steps, B) strided views
+        llr_odd = llr2[:, 1::2].T
 
         # State-major path metrics: row t is state t, one column per
         # frame.  Targets t and t + n/2 share the predecessors 2(t mod
@@ -307,8 +308,13 @@ class ConvolutionalCode:
         odd = [m[1::2] for m in metrics]
         by_target = [m.reshape(2, half, n_batch) for m in metrics]
         cand1 = np.empty((2, half, n_batch))
-        choices = np.zeros((n_steps, 2, half, n_batch), dtype=bool)
         per_block = max(1, min(n_steps, _ACS_BLOCK // (2 * n * n_batch)))
+        # Survivor choices are kept packed, eight per byte: each block's
+        # bool choices are packed once the block is done, and the
+        # traceback unpacks one block at a time.
+        width = n * n_batch
+        packed = np.empty((n_steps, -(-width // 8)), dtype=np.uint8)
+        choices = np.empty((per_block, 2, half, n_batch), dtype=bool)
         values = np.empty((per_block, 4, n_batch))
         cur = 0
         for t0 in range(0, n_steps, per_block):
@@ -326,10 +332,10 @@ class ConvolutionalCode:
             # transition into target state h*n/2 + j.
             bm = np.take(v, metric_index, axis=1).reshape(
                 t1 - t0, 2, 2, half, n_batch)
-            for t in range(t0, t1):
+            for t in range(t1 - t0):
                 cand0 = by_target[1 - cur]
-                np.add(even[cur], bm[t - t0, 0], out=cand0)
-                np.add(odd[cur], bm[t - t0, 1], out=cand1)
+                np.add(even[cur], bm[t, 0], out=cand0)
+                np.add(odd[cur], bm[t, 1], out=cand1)
                 # Strict > matches the scalar decoder: slot 0 wins ties
                 # and NaN comparisons.
                 np.greater(cand1, cand0, out=choices[t])
@@ -339,6 +345,8 @@ class ConvolutionalCode:
                 np.fmax(cand0, cand1, out=cand1)
                 np.maximum(cand0, cand1, out=cand0)
                 cur = 1 - cur
+            packed[t0:t1] = np.packbits(
+                choices[: t1 - t0].reshape(t1 - t0, width), axis=1)
 
         # Traceback by state arithmetic on flat positions state*B + row
         # of each step's choices: the surviving predecessor of state is
@@ -347,13 +355,17 @@ class ConvolutionalCode:
         rows = np.arange(n_batch)
         pred0 = ((((np.arange(n) & (half - 1)) << 1)[:, None] * n_batch)
                  + rows[None, :]).ravel()
-        flat_choices = choices.reshape(n_steps, n * n_batch)
         pos = np.argmax(metrics[cur], axis=0) * n_batch + rows
-        decoded = np.empty((n_steps, n_batch), dtype=bool)
-        for t in range(n_steps - 1, -1, -1):
-            np.greater_equal(pos, half * n_batch, out=decoded[t])
-            pos = pred0[pos] + flat_choices[t][pos] * n_batch
-        return decoded.T.astype(np.uint8)
+        decoded = np.empty((n_batch, n_steps), dtype=np.uint8)
+        for t1 in range(n_steps, 0, -per_block):
+            t0 = max(t1 - per_block, 0)
+            flat_choices = np.unpackbits(packed[t0:t1], axis=1,
+                                         count=width).view(bool)
+            for t in range(t1 - t0 - 1, -1, -1):
+                np.greater_equal(pos, half * n_batch,
+                                 out=decoded[:, t0 + t])
+                pos = pred0[pos] + flat_choices[t][pos] * n_batch
+        return decoded
 
 
 CODE_802_11 = ConvolutionalCode()

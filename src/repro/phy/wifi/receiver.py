@@ -15,7 +15,7 @@ the tag's phase modulation, which is a useful negative control.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -294,17 +294,23 @@ class WifiReceiver:
             groups.setdefault((header.rate.mbps, n_sym), []).append(i)
 
         for (_, n_sym), members in groups.items():
-            rows = np.asarray(members)
-            rate = headers[rows[0]].rate
+            # A group on consecutive rows (every frame of a flush decoded
+            # the same header) is a view; only a mixed batch is gathered.
+            if members[-1] - members[0] == len(members) - 1:
+                rows: Union[slice, np.ndarray] = slice(members[0],
+                                                       members[-1] + 1)
+            else:
+                rows = np.asarray(members)
+            rate = headers[members[0]].rate
             const = rate.constellation
             wave = wav[rows, data_start:data_start + n_sym * 80]
-            rx_syms, _ = self._ofdm.demodulate_batch(
+            rx_eq, _ = self._ofdm.demodulate_batch(
                 wave, n_sym, first_index=1,
                 pilot_correction=self.pilot_correction)
-            rx_eq = rx_syms / h_data_all[rows][:, None, :]
+            rx_eq /= h_data_all[rows][:, None, :]  # equalise in place
 
             llrs = const.demodulate_soft_batch(
-                rx_eq.reshape(rows.size, n_sym * len(DATA_SUBCARRIERS)),
+                rx_eq.reshape(len(members), n_sym * len(DATA_SUBCARRIERS)),
                 nv[rows])
             llrs = deinterleave_soft_batch(llrs, rate.n_cbps, rate.n_bpsc)
             decoded = CODE_802_11.decode_batch(llrs, rate.coding_rate,

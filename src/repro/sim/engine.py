@@ -33,16 +33,17 @@ Every task runs as part of a *shard* — one :func:`_execute_shard`
 call, in-process or on a pool worker — and one dispatcher owns retry,
 backoff, requeue and ``fail_fast`` for all of them.  Inline without a
 timeout, all pending tasks form one shard (a link sweep stacks packets
-across all its points); on the pool or with a timeout, each task is its
-own shard.  A multi-task shard that raises is split into single-task
-shards at the same attempt.  Each task is retried up to
-``max_attempts`` times with exponential backoff (retries wait in a
-ready queue rather than blocking result collection), and ``timeout_s``
-bounds one attempt's *execution* time: at most ``n_jobs`` attempts are
-in flight at once so the deadline never runs against queue wait, a
-queued attempt that never started is requeued instead of timed out,
-and a genuinely hung worker is abandoned — its pool is replaced
-immediately and its process killed at shutdown.  For tests,
+across all its points); on the pool, each worker gets one shard of
+interleaved tasks whose flushes fit a fixed memory budget; with a
+timeout, each task is its own shard.  A multi-task shard that raises is
+split into single-task shards at the same attempt.  Each task is
+retried up to ``max_attempts`` times with exponential backoff (retries
+wait in a ready queue rather than blocking result collection), and
+``timeout_s`` bounds one attempt's *execution* time: at most ``n_jobs``
+attempts are in flight at once so the deadline never runs against
+queue wait, a queued attempt that never started is requeued instead of
+timed out, and a genuinely hung worker is abandoned — its pool is
+replaced immediately and its process killed at shutdown.  For tests,
 :class:`FaultInjector` deterministically fails or delays chosen
 ``(task, attempt)`` pairs.
 
@@ -774,6 +775,15 @@ class CheckpointJournal:
 _LOCAL = threading.local()
 _SIM_CACHE_MAX = 8
 
+# Noise-arena budget of one flush in a pool shard.  A pool worker holds
+# one flush of its shard at a time, so this caps the per-worker working
+# set that multi-point shards add: WiFi rows (40 480 samples, 1.24 MiB)
+# stack two 10-packet points per flush, while ZigBee and BLE rows stay
+# under their 16-packet chunk.  It is a constant, not an option, because
+# it trades wall time against the run's peak memory on one host and
+# never changes a result.
+_POOL_FLUSH_BYTES = 32 << 20
+
 
 def _simulator_for(spec: ExperimentSpec):
     from repro.sim.linksim import LinkSimulator
@@ -811,7 +821,8 @@ _Unit = Tuple[int, Any, np.random.SeedSequence]
 
 def _execute_shard(spec: Spec, units: Sequence[_Unit], attempt: int,
                    injector: Optional[FaultInjector],
-                   trace: Optional[TraceConfig]):
+                   trace: Optional[TraceConfig],
+                   flush_bytes: Optional[int]):
     """One attempt of a shard of tasks, in-process or in a pool worker.
 
     Every task gets its own registry (built with the run's *trace*, so
@@ -819,11 +830,12 @@ def _execute_shard(spec: Spec, units: Sequence[_Unit], attempt: int,
     its own) and the injector is applied per task.  A link shard is one
     :meth:`~repro.sim.linksim.LinkSimulator.simulate_points` call,
     which stacks packets across the shard's points while each task
-    draws from its own spawned generator; a MAC shard loops over its
-    tasks.  Returns ``([(point, task snapshot), ...], shard snapshot,
-    wall seconds)``: the shard snapshot holds the stacked channel and
-    decode timers, which belong to no single task.  Any exception
-    aborts the whole shard.
+    draws from its own spawned generator (*flush_bytes* caps each
+    flush's noise arena; see :data:`_POOL_FLUSH_BYTES`); a MAC shard
+    loops over its tasks.  Returns ``([(point, task snapshot), ...],
+    shard snapshot, wall seconds)``: the shard snapshot holds the
+    stacked channel and decode timers, which belong to no single task.
+    Any exception aborts the whole shard.
     """
     from repro import obs
 
@@ -839,7 +851,8 @@ def _execute_shard(spec: Spec, units: Sequence[_Unit], attempt: int,
             points = _simulator_for(spec).simulate_points(
                 [value for (_, value, _) in units],
                 rngs=[np.random.default_rng(seq) for (_, _, seq) in units],
-                share_excitation=True, registries=regs)
+                share_excitation=True, registries=regs,
+                flush_bytes=flush_bytes)
         else:
             points = []
             for (_, value, seq), reg in zip(units, regs):
@@ -1134,9 +1147,12 @@ class ExperimentEngine:
 
         Inline without ``timeout_s``, all pending tasks form one shard,
         so a link sweep stacks packets across all its points.  On the
-        pool, or with any ``timeout_s``, each task is its own shard:
-        per-task deadlines need per-task durations, and a pool worker
-        holding one point keeps its memory at one point's worth.  A
+        pool without ``timeout_s`` there is one shard per worker, the
+        pending tasks dealt out in turn (``pending[k::workers]``) so near
+        and far points balance; its flushes are capped at
+        :data:`_POOL_FLUSH_BYTES` of noise arena, which bounds each
+        worker's memory.  With any ``timeout_s`` each task is its own
+        shard: per-task deadlines need per-task durations.  A
         multi-task shard that raises is split into single-task shards
         at the same attempt number (``engine.batch.aborted``); per-task
         seeding makes the rerun bit-exact and pins the error on the
@@ -1146,10 +1162,20 @@ class ExperimentEngine:
         """
         policy = self.failure_policy
         pools: Optional[_WorkerPools] = None
-        if self.n_jobs > 1 and len(pending) > 1:
-            pools = _WorkerPools(min(self.n_jobs, len(pending)), metrics)
-        if pools is not None or policy.timeout_s is not None:
+        flush_bytes: Optional[int] = None
+        workers = min(self.n_jobs, len(pending))
+        if workers > 1:
+            if isinstance(spec, ExperimentSpec):
+                # Build the session before the pool starts its workers:
+                # forked workers inherit it warm instead of each
+                # building their own (under spawn this only warms ours).
+                _simulator_for(spec)
+            pools = _WorkerPools(workers, metrics)
+            flush_bytes = _POOL_FLUSH_BYTES
+        if policy.timeout_s is not None:
             shards = [(i,) for i in pending]
+        elif pools is not None:
+            shards = [tuple(pending[k::workers]) for k in range(workers)]
         else:
             shards = [tuple(pending)]
         # (shard, attempt, earliest submit time), sorted by shard, so a
@@ -1188,7 +1214,8 @@ class ExperimentEngine:
                     return
                 shard, attempt, _ = ready.pop(k)
                 args = (spec, [(i, tasks[i], children[i]) for i in shard],
-                        attempt, self.fault_injector, metrics.trace)
+                        attempt, self.fault_injector, metrics.trace,
+                        flush_bytes)
                 start = time.perf_counter()
                 if pools is None:
                     fut, pool = _execute_here(*args), None

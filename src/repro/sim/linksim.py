@@ -167,17 +167,29 @@ class LinkSimulator:
                         share_excitation: bool) -> LinkPoint:
         gen = self._rng if rng is None else make_rng(rng)
         pending = self._point_phase1(
-            distance_m, gen, share_excitation,
+            distance_m, gen, self._point_excitation(gen, share_excitation),
             NoiseArena(max(1, self.packets_per_point)))
         if pending.draws:
             self.session.channel_packets(pending.draws)
             pending.results = list(self.session.finish_packets(pending.draws))
         return self._point_finish(pending)
 
+    def _point_excitation(self, gen: np.random.Generator,
+                          share_excitation: bool) -> Optional[Any]:
+        """The excitation a point shares among its packets (its first
+        draw), or ``None`` when each packet draws its own.
+        ``make_excitation`` is optional: a session offering only the
+        registry protocol draws each packet's excitation itself."""
+        make_excitation = getattr(self.session, "make_excitation", None)
+        if share_excitation and make_excitation:
+            return make_excitation(gen)
+        return None
+
     def _point_phase1(self, distance_m: float, gen: np.random.Generator,
-                      share_excitation: bool,
+                      excitation: Optional[Any],
                       arena: NoiseArena) -> "_PendingPoint":
-        """Phase 1 of one distance point: link budget, then per packet
+        """Phase 1 of one distance point, after its shared *excitation*
+        (from :meth:`_point_excitation`): link budget, then per packet
         the fading draw interleaved with the session's own draws,
         exactly as the scalar loop orders them.  On the batch path each
         packet's noise is drawn into the next row of *arena*.
@@ -196,11 +208,6 @@ class LinkSimulator:
         snr_penalty = (10 * np.log10(self.session.oversample_factor)
                        + self.config.implementation_loss_db)
 
-        # ``make_excitation`` is optional: a session offering only the
-        # registry protocol draws each packet's excitation itself.
-        make_excitation = getattr(self.session, "make_excitation", None)
-        excitation = (make_excitation(gen)
-                      if share_excitation and make_excitation else None)
         use_batch = self.batch and hasattr(self.session, "predraw_packet")
         if self.batch and not use_batch:
             # Batch requested but this session has no two-phase API —
@@ -256,7 +263,8 @@ class LinkSimulator:
     def simulate_points(self, distances_m: Sequence[float], *,
                         rngs: Optional[Sequence[np.random.Generator]] = None,
                         share_excitation: bool = False,
-                        registries: Optional[Sequence[Any]] = None
+                        registries: Optional[Sequence[Any]] = None,
+                        flush_bytes: Optional[int] = None
                         ) -> List[LinkPoint]:
         """Cross-point batched ``[simulate_point(d) for d in ...]``.
 
@@ -290,14 +298,28 @@ class LinkSimulator:
             registry (the cross-point channel/decode timers stay on the
             ambient registry).  Used by the engine to keep per-task
             forensics exact while sharing the stacked kernels.
+        flush_bytes:
+            Optional cap on one flush's noise arena, in bytes.  A flush
+            then holds the most whole points whose packets fit in
+            ``min(_chunk_packets, flush_bytes // row bytes)`` rows
+            (:meth:`NoiseArena.row_bytes` of the shared excitation's
+            length), and never fewer than one point.  The engine's pool
+            workers use it to bound their memory; results do not change.
         """
         session = self.session
         pendings: List[_PendingPoint] = []
         buffered: List[Any] = []           # (point idx, packet idx, draw)
         chunk = int(getattr(session, "_chunk_packets", _CHUNK_PACKETS))
         ppp = self.packets_per_point
-        flush_points = -(-chunk // ppp) if ppp > 0 else 1
         arena: Optional[NoiseArena] = None
+
+        def flush_points(excitation: Optional[Any]) -> int:
+            if ppp <= 0:
+                return 1
+            if flush_bytes is None or excitation is None:
+                return -(-chunk // ppp)
+            row = NoiseArena.row_bytes(excitation.info.total_samples)
+            return max(1, min(chunk, flush_bytes // row) // ppp)
 
         def point_scope(idx: int):
             return (obs.collect_into(registries[idx])
@@ -324,14 +346,16 @@ class LinkSimulator:
 
         for idx, dist in enumerate(distances_m):
             gen = self._rng if rngs is None else make_rng(rngs[idx])
-            if arena is None:
-                points = min(flush_points, len(distances_m) - idx)
-                arena = NoiseArena(max(1, points * ppp))
             with point_scope(idx), obs.span("sim.point",
                                             distance_m=float(dist),
                                             packets=self.packets_per_point):
-                pending = self._point_phase1(float(dist), gen,
-                                             share_excitation, arena)
+                excitation = self._point_excitation(gen, share_excitation)
+                if arena is None:
+                    points = min(flush_points(excitation),
+                                 len(distances_m) - idx)
+                    arena = NoiseArena(max(1, points * ppp))
+                pending = self._point_phase1(float(dist), gen, excitation,
+                                             arena)
             if pending.draws:
                 pending.results = [None] * len(pending.draws)
                 for di, d in enumerate(pending.draws):
