@@ -13,9 +13,9 @@ Four configurations of the same experiment are timed:
   under the degrade policy (retry once): measures the overhead of the
   fault-handling layer and asserts the sweep still completes.
 
-Engine runs also record the observability layer's per-stage PHY timers
-(``phy.wifi.encode/channel/decode``) and engine counters in the JSON
-record.
+Engine runs also record the observability layer's per-stage PHY latency
+histograms (``phy.wifi.{encode,rng,channel,decode}.seconds``) and engine
+counters in the JSON record.
 
 All three produce statistically equivalent sweeps; the engine paths are
 bit-identical to each other for any worker count.  Results go to
@@ -80,7 +80,7 @@ def bench_engine(n_jobs: int):
             "packets": result.packets_simulated,
             "packets_per_second": result.packets_per_second,
             "n_points": len(result.points),
-            # per-stage PHY timers + engine counters (observability layer)
+            # per-stage PHY histograms + engine counters (observability)
             "metrics": result.metrics,
             "n_failed": result.n_failed}
 
@@ -127,11 +127,11 @@ def main(argv=None) -> int:
 
     # Per-stage accounting from the observability layer, so slow stages
     # are attributable without re-profiling.
-    timers = runs[2].get("metrics", {}).get("timers", {})
-    for name in sorted(timers):
-        t = timers[name]
-        print(f"{name:>28}: n={t['count']:<4d} total={t['total_s']:.3f}s "
-              f"mean={t['mean_s'] * 1e3:.2f}ms")
+    histograms = runs[2].get("metrics", {}).get("histograms", {})
+    for name in sorted(histograms):
+        h = histograms[name]
+        print(f"{name:>28}: n={h['count']:<4d} total={h['sum']:.3f}s "
+              f"mean={h['sum'] / max(h['count'], 1) * 1e3:.2f}ms")
 
     record = {
         "experiment": "wifi LOS sweep",

@@ -1,7 +1,7 @@
 """Named PHY kernels, a tiny timing harness, and the perf trajectory.
 
 Each kernel is a deterministic closure over pre-built inputs (sessions,
-excitations, coded blocks), timed with :mod:`repro.obs` timers so the
+excitations, coded blocks), timed with :func:`repro.obs.timed` so the
 benchmark exercises the same instrumentation as production runs.  The
 interesting pairs — scalar vs batched packet loops, scalar vs batched
 Viterbi — are reported as speedups.
@@ -322,12 +322,12 @@ def run_benchmarks(smoke: bool = False,
         fn()  # warm-up
         with obs.collect() as reg:
             for _ in range(n_rep):
-                with obs.timed("bench." + name):
+                with obs.timed("bench." + name + ".seconds"):
                     fn()
-        stat = reg.timer("bench." + name)
-        assert stat is not None
-        results.append(KernelResult(name=name, best_s=stat.min_s,
-                                    mean_s=stat.mean_s, repeats=n_rep,
+        hist = reg.histogram("bench." + name + ".seconds")
+        assert hist is not None
+        results.append(KernelResult(name=name, best_s=hist.min,
+                                    mean_s=hist.mean, repeats=n_rep,
                                     work=work))
 
     by_name = {r.name: r for r in results}

@@ -41,7 +41,7 @@ Robustness and observability flags (run/sweep/mac):
 * ``--checkpoint sweep.jsonl`` journals completed points so a killed
   run resumes bit-identically;
 * ``--metrics-json PATH`` (or ``-`` for stdout) writes per-stage PHY
-  timers, retry counters, and per-task records;
+  latency histograms, retry counters, and per-task records;
 * ``--metrics-prom PATH`` writes the same aggregates in Prometheus
   text exposition format;
 * ``--trace PATH`` writes a JSONL trace (spans, retry/requeue events,
@@ -118,7 +118,7 @@ _SHARED_FLAGS: Dict[str, Dict[str, Any]] = {
     "metrics-json": {
         "flag": "--metrics-json",
         "kwargs": {"metavar": "PATH", "default": None,
-                   "help": "write stage timers / retry counters / "
+                   "help": "write stage histograms / retry counters / "
                            "task records as JSON ('-' for stdout)"},
     },
     "trace": {
@@ -165,7 +165,7 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
     _add_shared(parser, "checkpoint")
     _add_shared(parser, "metrics-json")
     parser.add_argument("--metrics-prom", metavar="PATH", default=None,
-                        help="write the same counters/timers/spans in "
+                        help="write the same counters/histograms/spans in "
                              "Prometheus text exposition format")
     _add_shared(parser, "trace")
     parser.add_argument("--trace-every-n", type=_positive_int, default=1,

@@ -64,8 +64,9 @@ class _FrameCache:
     must cover **every field that changes the built frame** — payload
     bytes, scrambler seed, modulation rate, samples-per-symbol — not
     just the payload, so mutating a session's configuration after first
-    use can never serve a stale template.  Build latency is recorded as
-    the ``<prefix>.encode`` timer; hits count ``<prefix>.encode_cached``.
+    use can never serve a stale template.  Build latency is recorded in
+    the ``<prefix>.encode.seconds`` histogram; hits count
+    ``<prefix>.encode_cached``.
     """
 
     def __init__(self, max_entries: int = 4,
@@ -77,8 +78,7 @@ class _FrameCache:
     def get_or_build(self, key: Any, build: Callable[[], Any]) -> Any:
         frame = self._entries.get(key)
         if frame is None:
-            with obs.timed(self._prefix + ".encode",
-                           hist=self._prefix + ".encode.seconds"):
+            with obs.timed(self._prefix + ".encode.seconds"):
                 frame = build()
             self._entries[key] = frame
             while len(self._entries) > self._max:
@@ -264,8 +264,7 @@ class _BatchPacketMixin:
             return PacketDraw(excitation, int(send.size), None, result,
                               snr_db=snr_db)
 
-        with obs.timed(self._obs + ".channel",
-                       hist=self._obs + ".channel.seconds"):
+        with obs.timed(self._obs + ".rng.seconds"):
             if arena is None:
                 arena = NoiseArena(1)
             row = arena.draw(gen, info.total_samples)
@@ -293,8 +292,7 @@ class _BatchPacketMixin:
         pending = [d for d in draws if d.result is None and d.noisy is None]
         if not pending:
             return list(draws)
-        with obs.timed(self._obs + ".channel",
-                       hist=self._obs + ".channel.seconds"):
+        with obs.timed(self._obs + ".channel.seconds"):
             by_exc: "OrderedDict[int, List[PacketDraw]]" = OrderedDict()
             for d in pending:
                 by_exc.setdefault(id(d.excitation), []).append(d)
@@ -399,8 +397,7 @@ class _BatchPacketMixin:
                                 rng=rng, excitation=excitation)
         if draw.result is not None:
             return draw.result
-        with obs.timed(self._obs + ".decode",
-                       hist=self._obs + ".decode.seconds"):
+        with obs.timed(self._obs + ".decode.seconds"):
             decoded = self._decode_scalar(draw)
         return self._finish_packet(draw, decoded)
 
@@ -416,8 +413,7 @@ class _BatchPacketMixin:
             if d.result is None:
                 groups.setdefault(self._batch_key(d), []).append(i)
         for members in groups.values():
-            with obs.timed(self._obs + ".decode",
-                           hist=self._obs + ".decode.seconds"):
+            with obs.timed(self._obs + ".decode.seconds"):
                 decoded = self._decode_batch([draws[i] for i in members])
             for i, dec in zip(members, decoded):
                 decodes[i] = dec
@@ -549,8 +545,7 @@ class _BatchPacketMixin:
                           noisy=wave, noise_var=noise_var, snr_db=snr_db)
         if batched:
             return self.finish_packets([draw])[0]
-        with obs.timed(self._obs + ".decode",
-                       hist=self._obs + ".decode.seconds"):
+        with obs.timed(self._obs + ".decode.seconds"):
             decoded = self._decode_scalar(draw)
         return self._finish_packet(draw, decoded)
 
@@ -1021,113 +1016,37 @@ class DsssBackscatterSession(_BatchPacketMixin):
         return res
 
 
-class QuaternaryWifiSession(_BatchPacketMixin):
+class QuaternaryWifiSession(WifiBackscatterSession):
     """Higher-rate WiFi backscatter using equation (5): 90-degree phase
     steps carrying 2 tag bits per step on a QPSK (12 Mb/s) excitation.
 
     Decoding estimates each span's constellation rotation at the
     backhaul (see :mod:`repro.core.quaternary`) instead of XOR-ing
     decoded bits — the price of doubling the tag rate to ~125 kb/s.
+    Excitation, sync gate, noise estimate and receiver are the binary
+    WiFi session's; only the tag's phase levels, the tag bit count and
+    the tag decode differ.
     """
 
-    sample_rate_hz = 20e6
-    unit_samples = 80
-    oversample_factor = 1
-    sync_threshold_db = 2.0
-    sync_slope_db = 0.8
+    # The binary session stacks 64 packets per pass; this one keeps the
+    # mixin's default.
+    _chunk_packets = 16
 
     def __init__(self, rate_mbps: float = 12.0, repetition: int = 4,
                  payload_bytes: int = 512,
                  seed: Optional[int] = None) -> None:
-        from repro.phy.wifi import WifiReceiver, WifiTransmitter
-
         if rate_mbps < 12.0:
             raise ValueError("quaternary translation needs QPSK or denser "
                              "subcarriers (>= 12 Mb/s)")
-        self._rng = make_rng(seed)
-        self.transmitter = WifiTransmitter(rate_mbps, seed=self._rng)
-        self.receiver = WifiReceiver()
+        super().__init__(rate_mbps, repetition, payload_bytes, seed)
         self.tag = FreeRiderTag(PhaseTranslator(n_levels=4),
                                 repetition=repetition)
-        self.payload_bytes = payload_bytes
-        self.repetition = repetition
-        self._obs = "phy.wifi"
-        self._frames = _FrameCache(metrics_prefix=self._obs)
-
-    def _frame_key(self, psdu: bytes,
-                   scrambler_seed: Optional[int]) -> Tuple[Any, ...]:
-        return ("wifi", self.transmitter.rate.mbps, psdu, scrambler_seed)
-
-    def _info(self, frame: Any) -> ExcitationInfo:
-        # Same SERVICE-symbol deferral as the binary session.
-        return ExcitationInfo(
-            sample_rate_hz=self.sample_rate_hz,
-            unit_samples=self.unit_samples,
-            data_start_sample=frame.data_start + self.unit_samples,
-            total_samples=frame.n_samples,
-            radio="wifi",
-        )
-
-    def capacity_bits(self) -> int:
-        """Tag bits per excitation packet (2 per phase step)."""
-        psdu = bytes(self.payload_bytes)
-        frame = self._frames.get_or_build(
-            self._frame_key(psdu, None), lambda: self.transmitter.build(psdu))
-        return self.tag.capacity_bits(self._info(frame))
-
-    def make_excitation(self,
-                        rng: Optional[np.random.Generator] = None
-                        ) -> Excitation:
-        """Draw one excitation packet (reusable across ``run_packet``\\ s)."""
-        if rng is None:
-            psdu = self.transmitter.random_psdu(self.payload_bytes)
-            frame = self._frames.get_or_build(
-                self._frame_key(psdu, None),
-                lambda: self.transmitter.build(psdu))
-        else:
-            gen = make_rng(rng)
-            psdu = bytes(int(b) for b in gen.integers(
-                0, 256, size=self.payload_bytes))
-            seed = int(gen.integers(1, 128))
-            frame = self._frames.get_or_build(
-                self._frame_key(psdu, seed),
-                lambda: self.transmitter.build(psdu, scrambler_seed=seed))
-        return Excitation(frame=frame, info=self._info(frame))
-
-    def excitation_from_payload(self, payload: bytes,
-                                scrambler_seed: Optional[int] = None
-                                ) -> Excitation:
-        """Deterministic excitation rebuild for capture replay (same
-        seed-aware build as the binary WiFi session)."""
-        frame = self._frames.get_or_build(
-            self._frame_key(payload, scrambler_seed),
-            lambda: self.transmitter.build(payload)
-            if scrambler_seed is None
-            else self.transmitter.build(payload,
-                                        scrambler_seed=scrambler_seed))
-        return Excitation(frame=frame, info=self._info(frame))
 
     def _default_tag_bits(self, info: ExcitationInfo,
                           gen: np.random.Generator) -> np.ndarray:
         # Two tag bits per phase step: round capacity down to even.
         capacity = self.tag.capacity_bits(info)
         return random_bits(capacity - capacity % 2, gen)
-
-    def _sync_gate(self, snr_db: float, gen: np.random.Generator) -> bool:
-        p_sync = 1.0 / (1.0 + np.exp(-(snr_db - self.sync_threshold_db)
-                                     / self.sync_slope_db))
-        return not gen.random() > p_sync
-
-    def _noise_var(self, snr_db: float) -> float:
-        return max(10 ** (-snr_db / 10), 1e-4)
-
-    def _decode_scalar(self, draw: PacketDraw) -> Any:
-        return self.receiver.decode(draw.noisy, noise_var=draw.noise_var)
-
-    def _decode_batch(self, draws: List[PacketDraw]) -> List[Any]:
-        waveforms = self._noisy_stack(draws)
-        noise_vars = np.array([d.noise_var for d in draws])
-        return self.receiver.decode_batch(waveforms, noise_vars)
 
     def _finish_packet(self, draw: PacketDraw, decoded: Any) -> SessionResult:
         from repro.core.quaternary import (

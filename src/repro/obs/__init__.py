@@ -4,7 +4,7 @@ See :mod:`repro.obs.metrics` for the design.  The common entry points
 are re-exported here so instrumentation sites can just::
 
     from repro import obs
-    with obs.timed("phy.wifi.decode"): ...
+    with obs.timed("phy.wifi.decode.seconds"): ...
     obs.inc("phy.wifi.packets")
     with obs.span("engine.task", task=3): ...      # traced registries
     obs.packet_event("phy.wifi", forensics.CRC_FAIL, snr_db=4.0)
@@ -13,10 +13,11 @@ Submodules: :mod:`~repro.obs.forensics` (decode-stage taxonomy),
 :mod:`~repro.obs.trace` (JSONL trace sink), :mod:`~repro.obs.export`
 (Prometheus text exposition), :mod:`~repro.obs.report` (run reports).
 
-Registries are process-local and deliberately lock-free; the one
-multi-threaded writer in the repo — the sweep service
-(:mod:`repro.service`) — serializes its own mutations and renders its
-``/metrics`` endpoint through :func:`prometheus_text`.
+Registries are process-local and deliberately lock-free; the active
+registry is per thread.  The one registry several threads write — the
+sweep service's own (:mod:`repro.service`) — is mutated under the
+service's lock and rendered at its ``/metrics`` endpoint through
+:func:`prometheus_text`.
 """
 
 from repro.obs import forensics
@@ -26,7 +27,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    TimerStat,
     TraceConfig,
     add_gauge,
     collect,
@@ -35,7 +35,6 @@ from repro.obs.metrics import (
     global_registry,
     inc,
     observe,
-    observe_hist,
     packet_event,
     registry,
     set_gauge,
@@ -47,10 +46,9 @@ from repro.obs.report import render_report
 from repro.obs.trace import TraceSink, read_trace
 
 __all__ = ["DEFAULT_LATENCY_BUCKETS", "Gauge", "Histogram",
-           "MetricsRegistry", "ProgressJournal", "TimerStat",
-           "TraceConfig", "TraceSink", "add_gauge", "collect",
-           "collect_into", "event", "forensics", "global_registry",
-           "inc", "monotonic_s", "observe", "observe_hist",
-           "packet_event", "parse_prometheus_text", "prometheus_text",
-           "read_progress", "read_trace", "registry", "render_report",
-           "set_gauge", "span", "timed"]
+           "MetricsRegistry", "ProgressJournal", "TraceConfig",
+           "TraceSink", "add_gauge", "collect", "collect_into", "event",
+           "forensics", "global_registry", "inc", "monotonic_s",
+           "observe", "packet_event", "parse_prometheus_text",
+           "prometheus_text", "read_progress", "read_trace", "registry",
+           "render_report", "set_gauge", "span", "timed"]

@@ -3,25 +3,20 @@ strict parser that validates it.
 
 Renders the plain-dict form of :meth:`MetricsRegistry.snapshot` into
 the text format scrape endpoints serve: counters become ``*_total``
-counters, gauges stay bare gauges, timers and spans become ``_seconds``
-summaries (count / sum plus min/max gauges), and histograms become
-proper ``histogram`` families with cumulative ``le`` buckets, a
-``+Inf`` bucket, ``_sum`` and ``_count``.  Dotted metric names are
-flattened to the ``[a-zA-Z0-9_]`` charset; span paths, which are
-hierarchical, ride in a ``path`` label instead.
+counters, gauges stay bare gauges, histograms become proper
+``histogram`` families with cumulative ``le`` buckets, a ``+Inf``
+bucket, ``_sum`` and ``_count``, plus ``_min`` / ``_max`` gauges.
+Dotted metric names are flattened to the ``[a-zA-Z0-9_]`` charset, so
+the histogram ``engine.task.seconds`` is the family
+``repro_engine_task_seconds``.  Span paths, which are hierarchical,
+ride in a ``path`` label of one ``repro_span_seconds`` summary family
+(count / sum, plus min/max gauges).
 
-Two format rules worth spelling out:
-
-* **One ``# TYPE`` line per family.**  Duplicate TYPE lines for a
-  family are invalid exposition; the span renderer emits each family
-  header exactly once and then all per-path samples.
-* **Histograms supersede same-named timers.**  A timer ``engine.task``
-  and a histogram ``engine.task.seconds`` would both flatten to the
-  family ``repro_engine_task_seconds``.  When that happens the
-  histogram (a strict superset: buckets plus the summary's count/sum)
-  owns the family and the timer's summary lines are skipped — its
-  ``_min`` / ``_max`` gauges still render, as those are separate
-  families.  JSON snapshots keep both forms.
+**One ``# TYPE`` line per family.**  Duplicate TYPE lines for a family
+are invalid exposition; the span renderer emits each family header
+exactly once and then all per-path samples.  A ``timers`` key in a
+snapshot written before timers folded into histograms is ignored: its
+same-named histogram carries the same family.
 
 :func:`parse_prometheus_text` is the matching strict reader used by
 tests, CI, and ``repro top``: it rejects duplicate TYPE lines, samples
@@ -61,27 +56,19 @@ def _escape_label(value: str) -> str:
             .replace("\n", "\\n"))
 
 
-def _summary_lines(name: str, data: Mapping[str, Any],
-                   labels: str = "", header: bool = True) -> List[str]:
-    lines: List[str] = []
-    if header:
-        lines.append(f"# TYPE {name}_seconds summary")
-    lines.append(f"{name}_seconds_count{labels} {int(data.get('count', 0))}")
-    lines.append(f"{name}_seconds_sum{labels} "
-                 f"{_fmt(float(data.get('total_s', 0.0)))}")
-    return lines
-
-
-def _min_max_lines(name: str, data: Mapping[str, Any],
+def _extreme_lines(name: str, hist: Histogram,
                    labels: str = "") -> Tuple[List[str], List[str]]:
-    """(min lines, max lines) for one timer/span — sans TYPE headers."""
-    min_lines: List[str] = []
-    min_s: Optional[float] = data.get("min_s")
-    if min_s is not None:
-        min_lines.append(f"{name}_seconds_min{labels} {_fmt(float(min_s))}")
-    max_lines = [f"{name}_seconds_max{labels} "
-                 f"{_fmt(float(data.get('max_s', 0.0)))}"]
-    return min_lines, max_lines
+    """(min lines, max lines) for one histogram — sans TYPE headers.
+    Each is empty while unknown: before the first observation, or for
+    a histogram recorded before histograms carried min and max."""
+    return ([f"{name}_min{labels} {_fmt(hist.min)}"]
+            if math.isfinite(hist.min) else [],
+            [f"{name}_max{labels} {_fmt(hist.max)}"]
+            if math.isfinite(hist.max) else [])
+
+
+def _gauge_family(name: str, lines: List[str]) -> List[str]:
+    return [f"# TYPE {name} gauge", *lines] if lines else []
 
 
 def _histogram_lines(name: str, data: Mapping[str, Any]) -> List[str]:
@@ -95,12 +82,14 @@ def _histogram_lines(name: str, data: Mapping[str, Any]) -> List[str]:
     lines.append(f'{name}_bucket{{le="+Inf"}} {hist.count}')
     lines.append(f"{name}_sum {_fmt(hist.sum)}")
     lines.append(f"{name}_count {hist.count}")
-    return lines
+    min_lines, max_lines = _extreme_lines(name, hist)
+    return (lines + _gauge_family(f"{name}_min", min_lines)
+            + _gauge_family(f"{name}_max", max_lines))
 
 
 def prometheus_text(snapshot: Mapping[str, Any],
                     prefix: str = "repro") -> str:
-    """Render *snapshot* (counters/gauges/timers/histograms/spans) as
+    """Render *snapshot* (counters/gauges/histograms/spans) as
     exposition text."""
     lines: List[str] = []
     counters: Dict[str, Any] = dict(snapshot.get("counters", {}))
@@ -114,44 +103,26 @@ def prometheus_text(snapshot: Mapping[str, Any],
         lines.append(f"# TYPE {name} gauge")
         lines.append(f"{name} {_fmt(float(gauges[dotted]))}")
     histograms: Dict[str, Any] = dict(snapshot.get("histograms", {}))
-    hist_families = {_metric_name(prefix, dotted) for dotted in histograms}
-    timers: Dict[str, Any] = dict(snapshot.get("timers", {}))
-    for dotted in sorted(timers):
-        name = _metric_name(prefix, dotted)
-        data = timers[dotted]
-        # A histogram flattening to this timer's summary family owns
-        # it; keep only the timer's min/max gauges.
-        if f"{name}_seconds" not in hist_families:
-            lines.extend(_summary_lines(name, data))
-        min_lines, max_lines = _min_max_lines(name, data)
-        if min_lines:
-            lines.append(f"# TYPE {name}_seconds_min gauge")
-            lines.extend(min_lines)
-        lines.append(f"# TYPE {name}_seconds_max gauge")
-        lines.extend(max_lines)
     for dotted in sorted(histograms):
         lines.extend(_histogram_lines(_metric_name(prefix, dotted),
                                       histograms[dotted]))
     spans: Dict[str, Any] = dict(snapshot.get("spans", {}))
     if spans:
         # One family header for all span paths, then per-path samples.
-        span_name = f"{prefix}_span"
+        name = f"{prefix}_span_seconds"
         all_min: List[str] = []
         all_max: List[str] = []
-        lines.append(f"# TYPE {span_name}_seconds summary")
+        lines.append(f"# TYPE {name} summary")
         for path in sorted(spans):
+            hist = Histogram.from_dict(dict(spans[path]))
             labels = '{path="' + _escape_label(path) + '"}'
-            lines.extend(_summary_lines(span_name, spans[path],
-                                        labels=labels, header=False))
-            min_lines, max_lines = _min_max_lines(span_name, spans[path],
-                                                  labels=labels)
+            lines.append(f"{name}_count{labels} {hist.count}")
+            lines.append(f"{name}_sum{labels} {_fmt(hist.sum)}")
+            min_lines, max_lines = _extreme_lines(name, hist, labels)
             all_min.extend(min_lines)
             all_max.extend(max_lines)
-        if all_min:
-            lines.append(f"# TYPE {span_name}_seconds_min gauge")
-            lines.extend(all_min)
-        lines.append(f"# TYPE {span_name}_seconds_max gauge")
-        lines.extend(all_max)
+        lines += (_gauge_family(f"{name}_min", all_min)
+                  + _gauge_family(f"{name}_max", all_max))
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -1,12 +1,13 @@
-"""Process-local counters and timers for experiment observability.
+"""Process-local counters and histograms for experiment observability.
 
 The simulator's hot paths (PHY encode/channel/decode, engine task
 dispatch) record where time and retries go through a tiny metrics
 registry.  Design constraints, in order:
 
 * **Near-zero overhead.**  A counter increment is a dict lookup plus an
-  integer add; a timer is two ``perf_counter`` calls.  The PHY chain is
-  numpy-bound, so this is noise.
+  integer add; a timed block is two ``perf_counter`` calls plus one
+  histogram observation.  The PHY chain is numpy-bound, so this is
+  noise.
 * **Process-local.**  Engine workers are separate processes; each one
   accumulates into its own registry and ships a plain-dict
   :meth:`MetricsRegistry.snapshot` back with the task result, which the
@@ -14,29 +15,35 @@ registry.  Design constraints, in order:
   is thread- or process-shared, so there are no locks.
 * **Scoped collection.**  Instrumented code records into whatever
   registry is *active*.  By default that is one module-global registry;
-  :func:`collect` pushes a fresh registry for the duration of a block so
-  callers (the engine's per-task wrapper, tests) get an isolated view
-  without touching the instrumentation sites.
+  :func:`collect` makes a fresh registry active for the duration of a
+  block so callers (the engine's per-task wrapper, tests) get an
+  isolated view without touching the instrumentation sites.  The
+  active registry is a context variable, so each thread has its own:
+  engines run on concurrent threads never record into each other's
+  registries.
+* **One aggregate per timed interval.**  A duration is one
+  :class:`Histogram` observation (buckets, sum, count, min and max);
+  timed blocks, :func:`observe` and span paths all aggregate that way.
 
 Typical use::
 
     from repro import obs
 
-    with obs.timed("phy.wifi.decode"):
+    with obs.timed("phy.wifi.decode.seconds"):
         receiver.decode(...)
     obs.inc("phy.wifi.packets")
 
     with obs.collect() as reg:       # isolate one task's metrics
         run_task()
-    snapshot = reg.snapshot()        # {"counters": ..., "timers": ...}
+    snapshot = reg.snapshot()        # {"counters": ..., "histograms": ...}
 
 Tracing (spans + events) is opt-in per registry: pass a
 :class:`TraceConfig` to :func:`collect` (or the registry constructor)
 and :func:`span` / :func:`packet_event` start recording; with no trace
 config they are a dict lookup plus a ``None`` check — near-zero
 overhead, and no RNG or numerical state is touched either way.  Span
-durations aggregate by *path* ("parent/child"), so snapshots merge
-across worker processes exactly like counters and timers.
+durations aggregate by *path* ("parent/child") into histograms, so
+snapshots merge across worker processes exactly like counters.
 """
 
 from __future__ import annotations
@@ -45,65 +52,17 @@ import math
 import time
 from bisect import bisect_left
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.obs import forensics
 
-__all__ = ["TimerStat", "Gauge", "Histogram", "DEFAULT_LATENCY_BUCKETS",
+__all__ = ["Gauge", "Histogram", "DEFAULT_LATENCY_BUCKETS",
            "TraceConfig", "MetricsRegistry", "registry",
            "global_registry", "collect", "collect_into",
-           "timed", "inc", "observe", "observe_hist", "set_gauge",
+           "timed", "inc", "observe", "set_gauge",
            "add_gauge", "span", "event", "packet_event"]
-
-
-@dataclass
-class TimerStat:
-    """Aggregate of one named timer: count / total / min / max seconds."""
-
-    count: int = 0
-    total_s: float = 0.0
-    min_s: float = math.inf
-    max_s: float = 0.0
-
-    def observe(self, seconds: float) -> None:
-        self.count += 1
-        self.total_s += seconds
-        self.min_s = min(self.min_s, seconds)
-        self.max_s = max(self.max_s, seconds)
-
-    @property
-    def mean_s(self) -> float:
-        return self.total_s / self.count if self.count else 0.0
-
-    def merge(self, other: "TimerStat") -> None:
-        self.count += other.count
-        self.total_s += other.total_s
-        self.min_s = min(self.min_s, other.min_s)
-        self.max_s = max(self.max_s, other.max_s)
-
-    def to_dict(self) -> Dict[str, Optional[float]]:
-        return {
-            "count": self.count,
-            "total_s": self.total_s,
-            "mean_s": self.mean_s,
-            # min is inf until the first observation; JSON has no inf,
-            # so an empty timer serializes min as null.
-            "min_s": self.min_s if self.count else None,
-            "max_s": self.max_s,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "TimerStat":
-        stat = cls(count=int(data.get("count", 0)),
-                   total_s=float(data.get("total_s", 0.0)),
-                   max_s=float(data.get("max_s", 0.0)))
-        raw_min = data.get("min_s")
-        if stat.count and raw_min is not None:
-            stat.min_s = float(raw_min)
-        else:
-            stat.min_s = math.inf
-        return stat
 
 
 class Gauge:
@@ -138,7 +97,8 @@ DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = (
 
 
 class Histogram:
-    """Fixed-bucket latency histogram with exact ``sum`` / ``count``.
+    """Fixed-bucket latency histogram with exact ``sum`` / ``count`` /
+    ``min`` / ``max``.
 
     ``buckets`` holds ascending upper bounds (``le`` semantics: an
     observation lands in the first bucket whose bound is >= the value);
@@ -146,16 +106,21 @@ class Histogram:
     bound.  Because the bounds are fixed at construction, merging
     worker snapshots is invariant to how observations were partitioned:
     any grouping of the same observations produces identical buckets,
-    ``sum`` and ``count``.  ``quantile`` interpolates linearly inside
-    the containing bucket, which is the standard Prometheus estimate.
+    ``count``, ``min`` and ``max`` (and the same ``sum`` up to float
+    addition order).  ``quantile`` interpolates linearly inside the
+    containing bucket, which is the standard Prometheus estimate.
+    ``min`` / ``max`` are ``inf`` / ``-inf`` until the first observation
+    and serialise as ``null`` then, since JSON has no infinities.
     """
 
-    __slots__ = ("buckets", "counts", "sum", "count")
+    __slots__ = ("buckets", "counts", "sum", "count", "min", "max")
 
     buckets: Tuple[float, ...]
     counts: List[int]
     sum: float
     count: int
+    min: float
+    max: float
 
     def __init__(self, buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS
                  ) -> None:
@@ -170,11 +135,15 @@ class Histogram:
         self.counts = [0] * (len(bounds) + 1)
         self.sum = 0.0
         self.count = 0
+        self.min = math.inf
+        self.max = -math.inf
 
     def observe(self, value: float) -> None:
         self.counts[bisect_left(self.buckets, value)] += 1
         self.sum += value
         self.count += 1
+        self.min = min(self.min, value)
+        self.max = max(self.max, value)
 
     @property
     def mean(self) -> float:
@@ -189,6 +158,8 @@ class Histogram:
             self.counts[i] += n
         self.sum += other.sum
         self.count += other.count
+        self.min = min(self.min, other.min)
+        self.max = max(self.max, other.max)
 
     def quantile(self, q: float) -> Optional[float]:
         """Estimated value at quantile *q* (0..1); ``None`` when empty.
@@ -214,10 +185,15 @@ class Histogram:
 
     def to_dict(self) -> Dict[str, Any]:
         return {"buckets": list(self.buckets), "counts": list(self.counts),
-                "sum": self.sum, "count": self.count}
+                "sum": self.sum, "count": self.count,
+                "min": _finite_or_none(self.min),
+                "max": _finite_or_none(self.max)}
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "Histogram":
+        """Inverse of :meth:`to_dict`.  A dict without ``min`` / ``max``
+        (written before histograms carried them) loads with both
+        unknown, i.e. at their empty sentinels."""
         hist = cls(tuple(float(b) for b in data["buckets"]))
         counts = [int(n) for n in data["counts"]]
         if len(counts) != len(hist.buckets) + 1:
@@ -227,7 +203,15 @@ class Histogram:
         hist.counts = counts
         hist.sum = float(data.get("sum", 0.0))
         hist.count = int(data.get("count", 0))
+        if data.get("min") is not None:
+            hist.min = float(data["min"])
+        if data.get("max") is not None:
+            hist.max = float(data["max"])
         return hist
+
+
+def _finite_or_none(value: float) -> Optional[float]:
+    return value if math.isfinite(value) else None
 
 
 @dataclass(frozen=True)
@@ -312,10 +296,7 @@ class _Span(_SpanBase):
         reg = self._registry
         if reg._span_stack and reg._span_stack[-1] == self._name:
             reg._span_stack.pop()
-        stat = reg._spans.get(self._path)
-        if stat is None:
-            stat = reg._spans[self._path] = TimerStat()
-        stat.observe(dur)
+        reg._observe(reg._spans, self._path, dur)
         payload: Dict[str, Any] = {"path": self._path, "dur_s": dur}
         if self._attrs:
             payload["attrs"] = dict(self._attrs)
@@ -323,15 +304,15 @@ class _Span(_SpanBase):
 
 
 class MetricsRegistry:
-    """A named bag of counters, timers, and (when tracing) spans/events."""
+    """A named bag of counters, gauges, histograms, and (when tracing)
+    spans/events."""
 
     def __init__(self, trace: Optional[TraceConfig] = None) -> None:
         self._counters: Dict[str, int] = {}
-        self._timers: Dict[str, TimerStat] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._trace = trace
-        self._spans: Dict[str, TimerStat] = {}
+        self._spans: Dict[str, Histogram] = {}
         self._span_stack: List[str] = []
         self._events: List[Dict[str, Any]] = []
         self._packet_seq = 0
@@ -347,10 +328,16 @@ class MetricsRegistry:
         self._counters[name] = self._counters.get(name, 0) + n
 
     def observe(self, name: str, seconds: float) -> None:
-        stat = self._timers.get(name)
-        if stat is None:
-            stat = self._timers[name] = TimerStat()
-        stat.observe(seconds)
+        """Record one duration into the histogram *name*."""
+        self._observe(self._histograms, name, seconds)
+
+    @staticmethod
+    def _observe(table: Dict[str, Histogram], name: str,
+                 seconds: float) -> None:
+        hist = table.get(name)
+        if hist is None:
+            hist = table[name] = Histogram()
+        hist.observe(seconds)
 
     def set_gauge(self, name: str, value: float) -> None:
         gauge = self._gauges.get(name)
@@ -364,25 +351,14 @@ class MetricsRegistry:
             gauge = self._gauges[name] = Gauge()
         gauge.add(delta)
 
-    def observe_hist(self, name: str, value: float,
-                     buckets: Optional[Sequence[float]] = None) -> None:
-        hist = self._histograms.get(name)
-        if hist is None:
-            hist = self._histograms[name] = Histogram(
-                buckets if buckets is not None else DEFAULT_LATENCY_BUCKETS)
-        hist.observe(value)
-
     @contextmanager
-    def timed(self, name: str,
-              hist: Optional[str] = None) -> Iterator[None]:
+    def timed(self, name: str) -> Iterator[None]:
+        """Time a block into the histogram *name*."""
         start = time.perf_counter()
         try:
             yield
         finally:
-            dur = time.perf_counter() - start
-            self.observe(name, dur)
-            if hist is not None:
-                self.observe_hist(hist, dur)
+            self.observe(name, time.perf_counter() - start)
 
     def span(self, name: str, **attrs: Any) -> _SpanBase:
         """Open a hierarchical span; a shared no-op when not tracing."""
@@ -427,9 +403,6 @@ class MetricsRegistry:
     def counter(self, name: str) -> int:
         return self._counters.get(name, 0)
 
-    def timer(self, name: str) -> Optional[TimerStat]:
-        return self._timers.get(name)
-
     def gauge(self, name: str) -> Optional[Gauge]:
         return self._gauges.get(name)
 
@@ -440,7 +413,7 @@ class MetricsRegistry:
     def histogram(self, name: str) -> Optional[Histogram]:
         return self._histograms.get(name)
 
-    def span_stat(self, path: str) -> Optional[TimerStat]:
+    def span_stat(self, path: str) -> Optional[Histogram]:
         """Aggregated stats for one span path ("parent/child")."""
         return self._spans.get(path)
 
@@ -457,13 +430,10 @@ class MetricsRegistry:
         """Plain-dict view (JSON-serializable, picklable).
 
         ``gauges`` / ``histograms`` / ``spans`` / ``events`` keys appear
-        only when non-empty, so plain counter/timer snapshots keep the
-        historical two-key shape.
+        only when non-empty; ``counters`` is always there.  Histograms
+        and span paths both serialise as :meth:`Histogram.to_dict`.
         """
-        snap: Dict[str, Any] = {
-            "counters": dict(self._counters),
-            "timers": {k: v.to_dict() for k, v in self._timers.items()},
-        }
+        snap: Dict[str, Any] = {"counters": dict(self._counters)}
         if self._gauges:
             snap["gauges"] = {k: v.value for k, v in self._gauges.items()}
         if self._histograms:
@@ -490,38 +460,32 @@ class MetricsRegistry:
             return
         for name, value in snapshot.get("counters", {}).items():
             self.inc(name, int(value))
-        for name, data in snapshot.get("timers", {}).items():
-            stat = self._timers.get(name)
-            if stat is None:
-                self._timers[name] = TimerStat.from_dict(data)
-            else:
-                stat.merge(TimerStat.from_dict(data))
         # Gauges are last-write-wins: the incoming snapshot is the
         # fresher local observation.
         for name, value in snapshot.get("gauges", {}).items():
             self.set_gauge(name, float(value))
         for name, data in snapshot.get("histograms", {}).items():
-            hist = self._histograms.get(name)
-            if hist is None:
-                self._histograms[name] = Histogram.from_dict(data)
-            else:
-                hist.merge(Histogram.from_dict(data))
+            self._merge_hist(self._histograms, name, data)
         for name, data in snapshot.get("spans", {}).items():
             path = f"{span_prefix}/{name}" if span_prefix else name
-            stat = self._spans.get(path)
-            if stat is None:
-                self._spans[path] = TimerStat.from_dict(data)
-            else:
-                stat.merge(TimerStat.from_dict(data))
+            self._merge_hist(self._spans, path, data)
         for record in snapshot.get("events", []):
             merged = dict(record)
             if span_prefix and merged.get("kind") == "span":
                 merged["path"] = f"{span_prefix}/{merged['path']}"
             self._events.append(merged)
 
+    @staticmethod
+    def _merge_hist(table: Dict[str, Histogram], name: str,
+                    data: Dict[str, Any]) -> None:
+        hist = table.get(name)
+        if hist is None:
+            table[name] = Histogram.from_dict(data)
+        else:
+            hist.merge(Histogram.from_dict(data))
+
     def reset(self) -> None:
         self._counters.clear()
-        self._timers.clear()
         self._gauges.clear()
         self._histograms.clear()
         self._spans.clear()
@@ -530,21 +494,23 @@ class MetricsRegistry:
         self._packet_seq = 0
 
 
-# -- the active-registry stack --------------------------------------------
-# Bottom entry is the always-present global registry; ``collect`` pushes
-# a scratch registry on top for the duration of a block.
+# -- the active registry ---------------------------------------------------
+# A context variable, so each thread (and each asyncio task) has its own;
+# where nothing is active, recording goes to the one global registry.
 
-_STACK: List[MetricsRegistry] = [MetricsRegistry()]
+_GLOBAL = MetricsRegistry()
+_ACTIVE: ContextVar[MetricsRegistry] = ContextVar("repro_obs_registry",
+                                                  default=_GLOBAL)
 
 
 def registry() -> MetricsRegistry:
     """The registry instrumentation currently records into."""
-    return _STACK[-1]
+    return _ACTIVE.get()
 
 
 def global_registry() -> MetricsRegistry:
-    """The process-wide default registry (bottom of the stack)."""
-    return _STACK[0]
+    """The process-wide default registry."""
+    return _GLOBAL
 
 
 @contextmanager
@@ -555,12 +521,8 @@ def collect(trace: Optional[TraceConfig] = None
     Pass a :class:`TraceConfig` to also capture spans and per-packet
     trace events for the duration of the block.
     """
-    reg = MetricsRegistry(trace=trace)
-    _STACK.append(reg)
-    try:
+    with collect_into(MetricsRegistry(trace=trace)) as reg:
         yield reg
-    finally:
-        _STACK.remove(reg)
 
 
 @contextmanager
@@ -570,51 +532,43 @@ def collect_into(reg: MetricsRegistry) -> Iterator[MetricsRegistry]:
     Re-entrant counterpart of :func:`collect`: a caller that interleaves
     several logical collection scopes (the engine's cross-task batch
     path attributing per-task stage counters while sharing one decode
-    pass) can push the same registry repeatedly without losing what it
-    already holds.
+    pass) can make the same registry active repeatedly without losing
+    what it already holds.  Only the calling thread's active registry
+    changes.
     """
-    _STACK.append(reg)
+    token = _ACTIVE.set(reg)
     try:
         yield reg
     finally:
-        # remove() drops the first (bottom-most) occurrence, which keeps
-        # nested re-entries of the same registry balanced.
-        _STACK.remove(reg)
+        _ACTIVE.reset(token)
 
 
-def timed(name: str, hist: Optional[str] = None) -> "_ActiveTimer":
-    """Context manager timing a block into the active registry.
+def timed(name: str) -> "_ActiveTimer":
+    """Context manager timing a block into the histogram *name* of the
+    active registry.
 
     The registry is resolved when the block *exits*, so a ``timed``
     entered just before a :func:`collect` block still records into the
-    registry active at completion time.  *hist*, when given, also feeds
-    the same duration into a latency histogram of that name — one clock
-    read pair serves both aggregates.
+    registry active at completion time.
     """
-    return _ActiveTimer(name, hist)
+    return _ActiveTimer(name)
 
 
 class _ActiveTimer:
-    __slots__ = ("_name", "_hist", "_start")
+    __slots__ = ("_name", "_start")
 
     _name: str
-    _hist: Optional[str]
     _start: float
 
-    def __init__(self, name: str, hist: Optional[str] = None) -> None:
+    def __init__(self, name: str) -> None:
         self._name = name
-        self._hist = hist
 
     def __enter__(self) -> "_ActiveTimer":
         self._start = time.perf_counter()
         return self
 
     def __exit__(self, *exc: object) -> None:
-        dur = time.perf_counter() - self._start
-        reg = registry()
-        reg.observe(self._name, dur)
-        if self._hist is not None:
-            reg.observe_hist(self._hist, dur)
+        _ACTIVE.get().observe(self._name, time.perf_counter() - self._start)
 
 
 def inc(name: str, n: int = 1) -> None:
@@ -623,14 +577,8 @@ def inc(name: str, n: int = 1) -> None:
 
 
 def observe(name: str, seconds: float) -> None:
-    """Record one timer observation on the active registry."""
+    """Record one duration into a histogram of the active registry."""
     registry().observe(name, seconds)
-
-
-def observe_hist(name: str, value: float,
-                 buckets: Optional[Sequence[float]] = None) -> None:
-    """Record one histogram observation on the active registry."""
-    registry().observe_hist(name, value, buckets)
 
 
 def set_gauge(name: str, value: float) -> None:

@@ -1,8 +1,9 @@
-"""The metric-name registry: every counter/timer/span name, declared.
+"""The metric-name registry: every counter/gauge/histogram/span name,
+declared.
 
 reprolint's R011 checks that every name passed to ``obs.inc`` /
-``obs.observe`` / ``obs.timed`` / ``reg.timer`` / ``obs.span`` (and the
-service's ``_inc``) appears here, so the observability surface is
+``obs.set_gauge`` / ``obs.observe`` / ``obs.timed`` / ``obs.span`` (and
+the service's ``_inc``) appears here, so the observability surface is
 greppable in one place and a typo'd metric name is a lint finding, not
 a silently empty counter.
 
@@ -23,7 +24,7 @@ from typing import Dict, Tuple
 
 from repro.obs.forensics import STAGES
 
-__all__ = ["COUNTERS", "GAUGES", "TIMERS", "HISTOGRAMS", "SPANS",
+__all__ = ["COUNTERS", "GAUGES", "HISTOGRAMS", "SPANS",
            "PATTERNS_BY_KIND", "literal_matches", "template_matches"]
 
 #: ``phy.<radio>.stage.<stage>`` decode-forensics counters; the stage
@@ -71,26 +72,24 @@ GAUGES: Tuple[str, ...] = (
     "service.queue.*",         # depth + per-state counts
 )
 
-TIMERS: Tuple[str, ...] = (
-    "bench.*",
-    "engine.task",
-    "phy.*.channel",
-    "phy.*.decode",
-    "phy.*.encode",
-    "service.job",
-)
-
-#: Latency histograms.  By convention named ``<timer>.seconds``: the
-#: exposition layer lets the histogram supersede the timer's summary
-#: family, so both can record from one ``timed(..., hist=...)`` site.
+#: Duration histograms, each fed by ``obs.timed`` or ``observe``: one
+#: observation per timed interval.  Named ``<what>.seconds``, so each
+#: flattens to a ``repro_<what>_seconds`` exposition family.
 HISTOGRAMS: Tuple[str, ...] = (
+    "bench.*.seconds",          # one per repeat of a bench kernel
     # One observation per finished task: its TaskRecord.duration_s.  A
     # task from a multi-task shard reports the shard's wall time divided
     # by the shard's task count.
     "engine.task.seconds",
+    # Per channel_packets call that had pending draws: tag modulation,
+    # power and noise over the whole stack.
     "phy.*.channel.seconds",
+    # Per receiver group (one stacked decode) or scalar decode.
     "phy.*.decode.seconds",
+    # Per excitation frame built (a frame-cache miss).
     "phy.*.encode.seconds",
+    # Per packet that reached the channel: its AWGN draw into the arena.
+    "phy.*.rng.seconds",
     "service.job.seconds",
 )
 
@@ -105,7 +104,6 @@ SPANS: Tuple[str, ...] = (
 PATTERNS_BY_KIND: Dict[str, Tuple[str, ...]] = {
     "counter": COUNTERS,
     "gauge": GAUGES,
-    "timer": TIMERS,
     "histogram": HISTOGRAMS,
     "span": SPANS,
 }

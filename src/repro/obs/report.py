@@ -5,7 +5,7 @@ present:
 
 * the **metrics record** written by ``--metrics-json`` (or a full
   ``RunResult.to_dict()``): timing, per-task records, and the merged
-  counters / timers / span aggregates;
+  counters / histograms / span aggregates;
 * the **trace file** written by ``--trace`` (JSONL, one event per
   line, each stamped with the spec fingerprint): span durations,
   sampled per-packet forensics, retry/requeue events;
@@ -293,6 +293,14 @@ def _histograms_section(record: Mapping[str, Any], fmt: str) -> List[str]:
     return lines
 
 
+def _span_max(stat: Mapping[str, Any]) -> float:
+    """Slowest instance of one aggregated span path: a histogram dict's
+    ``max``, or ``max_s`` in records written before span paths were
+    histograms."""
+    value = stat.get("max", stat.get("max_s"))
+    return float(value) if value is not None else 0.0
+
+
 def _spans_section(record: Mapping[str, Any],
                    trace: Sequence[Mapping[str, Any]],
                    fmt: str, top: int) -> List[str]:
@@ -314,11 +322,11 @@ def _spans_section(record: Mapping[str, Any],
         spans = metrics.get("spans") if isinstance(metrics, Mapping) else None
         if not isinstance(spans, Mapping) or not spans:
             return []
-        stats = sorted(spans.items(),
-                       key=lambda kv: -float(kv[1].get("max_s", 0.0)))[:top]
-        for path, stat in stats:
-            rows.append([path, float(stat.get("max_s", 0.0)),
-                         f"count={int(stat.get('count', 0))}"])
+        stats = sorted(((path, _span_max(stat), stat)
+                        for path, stat in spans.items()),
+                       key=lambda row: -row[1])[:top]
+        for path, slowest, stat in stats:
+            rows.append([path, slowest, f"count={int(stat.get('count', 0))}"])
         headers = ["span", "max (s)", "attrs"]
     lines = _heading(f"Slowest spans (top {len(rows)})", fmt)
     lines += _render_table(headers, rows, fmt)

@@ -23,7 +23,7 @@ warm, cache-aware compute tier:
   *queued* together dedup at claim time — the second job finds the
   store already populated and becomes a cache hit without computing.
 * **Observability** folds every run's engine metrics (task counters,
-  PHY stage timers, latency histograms, forensics stage counts) into
+  PHY stage and task latency histograms, forensics stage counts) into
   one service-wide :class:`~repro.obs.MetricsRegistry` next to the
   service's own counters (``service.jobs.*``, ``service.cache.*``),
   live queue gauges (``service.queue.<state>``, ``service.queue.depth``,
@@ -300,12 +300,9 @@ class SweepService:
             return
         with self._metrics_lock:
             self.metrics.merge_snapshot(result.metrics)
-            # The job-level timer and latency histogram ride the run's
-            # own measured wall time (no ad-hoc clock reads; obs owns
-            # the clock).
-            self.metrics.observe("service.job", result.wall_time_s)
-            self.metrics.observe_hist("service.job.seconds",
-                                      result.wall_time_s)
+            # The job latency histogram rides the run's own measured
+            # wall time (no ad-hoc clock reads; obs owns the clock).
+            self.metrics.observe("service.job.seconds", result.wall_time_s)
             self.metrics.event("service.job", job=job.job_id,
                                spec=job.fingerprint,
                                dur_s=result.wall_time_s)

@@ -80,7 +80,7 @@ Typical use::
     result = engine.run(spec, checkpoint="sweep.jsonl")
     result.points          # List[LinkPoint], same for any n_jobs
     result.tasks           # List[TaskRecord]: status/attempts/duration
-    result.metrics         # merged counters + stage timers
+    result.metrics         # merged counters + stage histograms
 """
 
 from __future__ import annotations
@@ -834,7 +834,8 @@ def _execute_shard(spec: Spec, units: Sequence[_Unit], attempt: int,
     flush's noise arena; see :data:`_POOL_FLUSH_BYTES`); a MAC shard
     loops over its tasks.  Returns ``([(point, task snapshot), ...],
     shard snapshot, wall seconds)``: the shard snapshot holds the
-    stacked channel and decode timers, which belong to no single task.
+    stacked channel and decode histograms, which belong to no single
+    task.
     Any exception aborts the whole shard.
     """
     from repro import obs
@@ -1116,8 +1117,7 @@ class ExperimentEngine:
                 ev.setdefault("task", record.index)
         metrics.merge_snapshot(snapshot, span_prefix="engine.run")
         metrics.inc(f"engine.tasks.{record.status}")
-        metrics.observe("engine.task", record.duration_s)
-        metrics.observe_hist("engine.task.seconds", record.duration_s)
+        metrics.observe("engine.task.seconds", record.duration_s)
         if journal is not None:
             journal.append(record, point)
         if tracker is not None:

@@ -295,8 +295,8 @@ class LinkSimulator:
         registries:
             Optional one :class:`~repro.obs.MetricsRegistry` per point;
             each point's counters and stage records are routed to its
-            registry (the cross-point channel/decode timers stay on the
-            ambient registry).  Used by the engine to keep per-task
+            registry (the cross-point channel/decode histograms stay on
+            the ambient registry).  Used by the engine to keep per-task
             forensics exact while sharing the stacked kernels.
         flush_bytes:
             Optional cap on one flush's noise arena, in bytes.  A flush

@@ -19,11 +19,11 @@ class ObsClockRule(AstLintRule):
         "time measurement goes through obs.timed, not ad-hoc clocks",
         "Hand-rolled perf_counter deltas bypass the metrics registry, "
         "so the timing never shows up in run reports.  Wrap the region "
-        "in obs.timed(name) / reg.timer(name) instead.")
+        "in obs.timed(name) instead.")
     # Only project modules must route timing through obs; tests and
     # benchmarks may hand-roll timers for their own assertions.
     path_only = ("repro/",)
-    # obs implements the timers; the engine measures pool latencies it
+    # obs implements timed blocks; the engine measures pool latencies it
     # feeds into obs itself.
     path_allow = ("repro/obs/", "repro/sim/engine.py")
 

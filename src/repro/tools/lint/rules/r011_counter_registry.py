@@ -2,8 +2,9 @@
 
 A typo'd counter name is a silently empty metric: nothing crashes, the
 run report just misses a column.  Every literal name passed to ``inc``
-/ ``_inc`` (counter), ``observe`` / ``timed`` / ``timer`` (timer), or
-``span`` must match a pattern declared in :mod:`repro.obs.names`.
+/ ``_inc`` (counter), ``set_gauge`` / ``add_gauge`` (gauge),
+``observe`` / ``timed`` (histogram), or ``span`` must match a pattern
+declared in :mod:`repro.obs.names`.
 Runtime-built names (f-strings, string concatenation) are checked
 structurally: the fixed parts must be consistent with some declared
 pattern — ``f"{prefix}.stage.{stage}"`` passes because the
@@ -25,20 +26,12 @@ from repro.tools.lint.model import Rule
 from repro.tools.lint.rules.base import AstLintRule, dotted_name
 
 #: method-name -> metric kind.  ``_inc`` / ``_set_gauge`` are the
-#: service's locked wrappers; ``timer`` is the registry accessor
-#: benches use.
+#: service's locked wrappers.
 _SINKS = {
     "inc": "counter", "_inc": "counter",
-    "observe": "timer", "timed": "timer", "timer": "timer",
+    "observe": "histogram", "timed": "histogram",
     "set_gauge": "gauge", "add_gauge": "gauge", "_set_gauge": "gauge",
-    "observe_hist": "histogram",
     "span": "span",
-}
-
-#: keyword-argument sinks: ``timed(name, hist=...)`` routes its second
-#: name into a histogram.
-_KWARG_SINKS = {
-    "timed": {"hist": "histogram"},
 }
 
 
@@ -120,12 +113,6 @@ class CounterRegistryRule(AstLintRule):
             resolved = _name_template(node.args[0])
             if resolved is not None:
                 self._check_name(node, kind, *resolved)
-        for keyword in node.keywords:
-            kw_kind = _KWARG_SINKS.get(method, {}).get(keyword.arg or "")
-            if kw_kind is not None:
-                resolved = _name_template(keyword.value)
-                if resolved is not None:
-                    self._check_name(node, kw_kind, *resolved)
         self.generic_visit(node)
 
     def _check_name(self, node: ast.Call, kind: str, text: str,

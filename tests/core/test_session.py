@@ -71,7 +71,7 @@ class TestWifiSession:
             s.capacity_bits()
             s.capacity_bits()
         assert reg.counter("phy.wifi.encode_cached") == 1
-        assert reg.timer("phy.wifi.encode").count == 1
+        assert reg.histogram("phy.wifi.encode.seconds").count == 1
 
     def test_pilot_correction_breaks_decoding(self):
         """Negative control (section 3.2.1): a receiver that re-derives

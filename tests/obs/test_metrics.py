@@ -7,51 +7,14 @@ from repro.obs import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    TimerStat,
     collect,
     global_registry,
     inc,
-    observe_hist,
+    observe,
     registry,
     set_gauge,
     timed,
 )
-
-
-class TestTimerStat:
-    def test_observe_accumulates(self):
-        t = TimerStat()
-        t.observe(0.2)
-        t.observe(0.1)
-        assert t.count == 2
-        assert t.total_s == pytest.approx(0.3)
-        assert t.min_s == pytest.approx(0.1)
-        assert t.max_s == pytest.approx(0.2)
-
-    def test_empty_dict_form_has_no_inf(self):
-        d = TimerStat().to_dict()
-        assert d["count"] == 0
-        assert d["min_s"] is None  # inf sentinel never leaks into JSON
-
-    def test_empty_round_trip_restores_inf_sentinel(self):
-        # min_s serializes as null when empty, and from_dict restores
-        # the inf sentinel so merges keep taking a true minimum.
-        stat = TimerStat.from_dict(TimerStat().to_dict())
-        stat.observe(0.5)
-        assert stat.min_s == pytest.approx(0.5)
-
-    def test_merge(self):
-        a, b = TimerStat(), TimerStat()
-        a.observe(1.0)
-        b.observe(3.0)
-        a.merge(b)
-        assert a.count == 2
-        assert a.max_s == pytest.approx(3.0)
-
-    def test_round_trip(self):
-        t = TimerStat()
-        t.observe(0.5)
-        assert TimerStat.from_dict(t.to_dict()).to_dict() == t.to_dict()
 
 
 class TestGauge:
@@ -78,6 +41,7 @@ class TestHistogram:
         assert h.counts == [1, 1, 1]
         assert h.count == 3
         assert h.sum == pytest.approx(106.0)
+        assert (h.min, h.max) == (1.0, 100.0)
 
     def test_rejects_bad_bucket_grids(self):
         with pytest.raises(ValueError):
@@ -108,6 +72,7 @@ class TestHistogram:
             assert merged.counts == whole.counts
             assert merged.count == whole.count
             assert merged.sum == pytest.approx(whole.sum)
+            assert (merged.min, merged.max) == (0.0002, 120.0)
 
     def test_round_trip(self):
         h = Histogram(DEFAULT_LATENCY_BUCKETS)
@@ -115,11 +80,32 @@ class TestHistogram:
             h.observe(v)
         again = Histogram.from_dict(h.to_dict())
         assert again.to_dict() == h.to_dict()
+        assert (again.min, again.max) == (0.001, 3.0)
 
     def test_empty_round_trip(self):
         d = Histogram(DEFAULT_LATENCY_BUCKETS).to_dict()
+        # The inf sentinels never leak into JSON ...
+        assert d["min"] is None and d["max"] is None
         again = Histogram.from_dict(d)
         assert again.count == 0 and again.to_dict() == d
+        # ... and come back, so a later observation or merge still
+        # takes a true minimum and maximum.
+        again.observe(0.5)
+        assert (again.min, again.max) == (0.5, 0.5)
+
+    def test_from_dict_without_extremes(self):
+        # Histogram dicts written before min/max existed still load;
+        # their extremes are unknown until something observes or merges.
+        d = Histogram([1.0]).to_dict()
+        d.update(counts=[1, 0], sum=0.5, count=1)
+        del d["min"], d["max"]
+        hist = Histogram.from_dict(d)
+        assert hist.count == 1
+        assert hist.to_dict()["min"] is None
+        other = Histogram([1.0])
+        other.observe(0.25)
+        hist.merge(other)
+        assert (hist.min, hist.max) == (0.25, 0.25)
 
     def test_from_dict_rejects_torn_counts(self):
         d = Histogram([1.0, 2.0]).to_dict()
@@ -159,63 +145,77 @@ class TestMetricsRegistry:
 
     def test_timed_context(self):
         reg = MetricsRegistry()
-        with reg.timed("stage"):
+        with reg.timed("stage.seconds"):
             pass
-        assert reg.timer("stage").count == 1
+        assert reg.histogram("stage.seconds").count == 1
 
     def test_snapshot_shape(self):
         reg = MetricsRegistry()
         reg.inc("n")
-        reg.observe("t", 0.25)
+        reg.observe("t.seconds", 0.25)
         snap = reg.snapshot()
         assert snap["counters"] == {"n": 1}
-        assert snap["timers"]["t"]["count"] == 1
-        assert snap["timers"]["t"]["mean_s"] == pytest.approx(0.25)
+        assert "timers" not in snap
+        hist = snap["histograms"]["t.seconds"]
+        assert hist["count"] == 1
+        assert hist["sum"] == hist["min"] == hist["max"] == 0.25
 
     def test_merge_snapshot(self):
         reg = MetricsRegistry()
         reg.inc("n", 2)
-        reg.observe("t", 0.1)
+        reg.observe("t.seconds", 0.1)
         other = MetricsRegistry()
         other.inc("n", 3)
-        other.observe("t", 0.3)
+        other.observe("t.seconds", 0.3)
         reg.merge_snapshot(other.snapshot())
         assert reg.counter("n") == 5
-        assert reg.timer("t").count == 2
+        hist = reg.histogram("t.seconds")
+        assert hist.count == 2
+        assert (hist.min, hist.max) == (0.1, 0.3)
 
     def test_reset(self):
         reg = MetricsRegistry()
         reg.inc("n")
+        reg.observe("t.seconds", 0.1)
         reg.reset()
-        assert reg.snapshot() == {"counters": {}, "timers": {}}
+        assert reg.snapshot() == {"counters": {}}
 
     def test_gauge_and_histogram_in_snapshot(self):
         reg = MetricsRegistry()
         reg.set_gauge("depth", 3.0)
         reg.add_gauge("depth", 2.0)
-        reg.observe_hist("lat", 0.02)
+        reg.observe("lat", 0.02)
         snap = reg.snapshot()
         assert snap["gauges"] == {"depth": 5.0}
         assert snap["histograms"]["lat"]["count"] == 1
-        # Empty registries keep the historical two-key shape.
-        assert "gauges" not in MetricsRegistry().snapshot()
+        # Empty registries carry only the counters key.
+        assert MetricsRegistry().snapshot() == {"counters": {}}
 
     def test_merge_snapshot_gauges_and_histograms(self):
         reg = MetricsRegistry()
         reg.set_gauge("depth", 1.0)
-        reg.observe_hist("lat", 0.001)
+        reg.observe("lat", 0.001)
         other = MetricsRegistry()
         other.set_gauge("depth", 7.0)
-        other.observe_hist("lat", 0.3)
+        other.observe("lat", 0.3)
         reg.merge_snapshot(other.snapshot())
         assert reg.gauge_value("depth") == pytest.approx(7.0)  # last write
         assert reg.histogram("lat").count == 2
+
+    def test_merge_snapshot_ignores_legacy_timers(self):
+        # Snapshots stored before timers folded into histograms carry a
+        # ``timers`` key; merging one keeps everything else.
+        reg = MetricsRegistry()
+        reg.merge_snapshot({"counters": {"n": 1}, "timers": {
+            "engine.task": {"count": 1, "total_s": 0.5, "mean_s": 0.5,
+                            "min_s": 0.5, "max_s": 0.5}}})
+        assert reg.snapshot() == {"counters": {"n": 1}}
 
     def test_merge_snapshot_round_trips_through_json(self):
         import json
 
         reg = MetricsRegistry()
-        reg.observe_hist("lat", 0.05)
+        reg.observe("lat", 0.05)
         snap = json.loads(json.dumps(reg.snapshot()))
         other = MetricsRegistry()
         other.merge_snapshot(snap)
@@ -223,13 +223,15 @@ class TestMetricsRegistry:
             reg.histogram("lat").to_dict()
 
     def test_timed_feeds_histogram_too(self):
+        # One timed block is one histogram observation: its sum, min
+        # and max are the same single duration.
         reg = MetricsRegistry()
-        with reg.timed("engine.task", hist="engine.task.seconds"):
+        with reg.timed("engine.task.seconds"):
             pass
-        assert reg.timer("engine.task").count == 1
         hist = reg.histogram("engine.task.seconds")
         assert hist.count == 1
-        assert hist.sum == pytest.approx(reg.timer("engine.task").total_s)
+        assert hist.sum == hist.min == hist.max >= 0.0
+        assert reg.snapshot().keys() == {"counters", "histograms"}
 
 
 class TestCollectScope:
@@ -253,23 +255,23 @@ class TestCollectScope:
     def test_timed_binds_registry_at_exit(self):
         # A timer entered before collect() but exited inside it lands in
         # the active registry at exit time (what workers rely on).
-        timer = timed("late")
+        timer = timed("late.seconds")
         timer.__enter__()
         with collect() as reg:
             timer.__exit__(None, None, None)
-            assert reg.timer("late").count == 1
+            assert reg.histogram("late.seconds").count == 1
 
     def test_module_level_helpers_hit_active_registry(self):
         with collect() as reg:
-            with timed("stage"):
+            with timed("stage.seconds"):
                 inc("packets", 2)
         assert reg.counter("packets") == 2
-        assert reg.timer("stage").count == 1
+        assert reg.histogram("stage.seconds").count == 1
 
     def test_module_level_gauge_and_histogram_helpers(self):
         with collect() as reg:
             set_gauge("depth", 4.0)
-            observe_hist("lat", 0.01)
+            observe("lat", 0.01)
         assert reg.gauge_value("depth") == pytest.approx(4.0)
         assert reg.histogram("lat").count == 1
         assert global_registry().histogram("lat") is None

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from repro.obs import (
+    Histogram,
     MetricsRegistry,
     TraceConfig,
     TraceSink,
@@ -112,15 +113,21 @@ class TestPacketSampling:
 class TestSnapshotAndMerge:
     def test_untraced_snapshot_keeps_legacy_shape(self):
         reg = MetricsRegistry()
+        with reg.span("engine.task"):
+            pass
         reg.reset()
-        assert reg.snapshot() == {"counters": {}, "timers": {}}
+        assert reg.snapshot() == {"counters": {}}
 
     def test_traced_snapshot_round_trips(self):
         reg = MetricsRegistry(trace=TRACED)
         with reg.span("engine.task"):
             reg.packet_event("phy.wifi", forensics.OK)
         snap = json.loads(json.dumps(reg.snapshot()))  # JSON-safe
-        assert snap["spans"]["engine.task"]["count"] == 1
+        # Span paths aggregate as histograms, like timed blocks.
+        span_stat = snap["spans"]["engine.task"]
+        assert span_stat["count"] == 1
+        assert span_stat["min"] == span_stat["max"] == span_stat["sum"]
+        assert sum(span_stat["counts"]) == 1
         assert len(snap["events"]) == 2
 
     def test_merge_reroots_spans_under_prefix(self):
@@ -167,7 +174,7 @@ class TestPrometheusExport:
     def _snapshot(self):
         reg = MetricsRegistry(trace=TRACED)
         reg.inc("phy.wifi.stage.ok", 3)
-        reg.observe("phy.wifi.decode", 0.25)
+        reg.observe("phy.wifi.decode.seconds", 0.25)
         with reg.span("engine.run"):
             pass
         return reg.snapshot()
@@ -179,12 +186,12 @@ class TestPrometheusExport:
         assert 'path="engine.run"' in text
 
     def test_empty_timer_has_no_min_line(self):
-        reg = MetricsRegistry()
-        snap = reg.snapshot()
-        snap["timers"]["empty"] = {"count": 0, "total_s": 0.0,
-                                   "min_s": None, "max_s": 0.0}
+        snap = MetricsRegistry().snapshot()
+        snap["histograms"] = {"empty.seconds": Histogram().to_dict()}
         text = prometheus_text(snap)
+        assert "repro_empty_seconds_count 0" in text
         assert "empty_seconds_min" not in text
+        assert "empty_seconds_max" not in text
         assert "inf" not in text
 
 
@@ -225,6 +232,35 @@ class TestReport:
         text = render_report(None, trace, top=1)
         assert "engine.run" in text
         assert "engine.task" not in text  # only the top-1 span shown
+
+    def test_span_aggregates_without_trace(self):
+        reg = MetricsRegistry(trace=TRACED)
+        with reg.span("engine.run"):
+            pass
+        record = self._record()
+        record["metrics"]["spans"] = reg.snapshot()["spans"]
+        text = render_report(record)
+        assert "max (s)" in text
+        assert "engine.run" in text
+
+    def test_legacy_record_with_timers_renders(self):
+        # Records stored before timers folded into histograms: a
+        # ``timers`` key, TimerStat-shaped span paths, and histograms
+        # without min/max.
+        record = self._record()
+        record["metrics"].update(
+            timers={"engine.task": {"count": 2, "total_s": 0.4,
+                                    "mean_s": 0.2, "min_s": 0.1,
+                                    "max_s": 0.3}},
+            spans={"engine.run": {"count": 1, "total_s": 0.9,
+                                  "mean_s": 0.9, "min_s": 0.9,
+                                  "max_s": 0.9}},
+            histograms={"engine.task.seconds": {
+                "buckets": [1.0], "counts": [2, 0], "sum": 0.4,
+                "count": 2}})
+        text = render_report(record)
+        assert "Latency histograms" in text
+        assert "engine.run" in text and "0.9" in text
 
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError):

@@ -274,13 +274,14 @@ class TestRunMetrics:
     def test_stage_timers_and_counters_exported(self):
         result = ExperimentEngine(n_jobs=1).run(_spec())
         counters = result.metrics["counters"]
-        timers = result.metrics["timers"]
+        histograms = result.metrics["histograms"]
         assert counters["engine.tasks.ok"] == 2
         assert counters["phy.zigbee.packets"] == 4
-        for stage in ("engine.task", "phy.zigbee.channel",
+        for stage in ("engine.task", "phy.zigbee.rng", "phy.zigbee.channel",
                       "phy.zigbee.decode"):
-            assert timers[stage]["count"] > 0
-            assert timers[stage]["total_s"] >= timers[stage]["max_s"] > 0
+            hist = histograms[f"{stage}.seconds"]
+            assert hist["count"] > 0
+            assert hist["sum"] >= hist["max"] > 0
 
     def test_task_records_serializable(self):
         result = ExperimentEngine(n_jobs=1).run(_spec())

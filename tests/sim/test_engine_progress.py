@@ -152,20 +152,21 @@ class TestTaskLatencyHistogram:
         assert sum(hist["counts"]) == hist["count"]
 
     def test_phy_stage_histograms_mirror_timers(self):
-        # Every observed stage timer gains a twin histogram fed by the
-        # same clock pair, so their counts agree exactly.  (Which
-        # stages fire depends on session caching — encode may be
-        # skipped on a warm cache — so assert the pairing, not a
-        # fixed stage list.)
+        # Each stage histogram is the only aggregate of its interval,
+        # so it carries what the stage timers used to: count, sum, min
+        # and max, consistent with its buckets.  (Which stages fire
+        # depends on session caching — encode may be skipped on a warm
+        # cache — so assert the shape, not a fixed stage list.)
         result = ExperimentEngine(n_jobs=1).run(_spec())
-        timers = result.metrics["timers"]
+        assert "timers" not in result.metrics
         histograms = result.metrics["histograms"]
-        stages = [n for n in timers
-                  if n.startswith("phy.zigbee.")]
-        assert "phy.zigbee.decode" in stages  # decode always runs
+        stages = [n for n in histograms if n.startswith("phy.zigbee.")]
+        assert "phy.zigbee.decode.seconds" in stages  # decode always runs
         for name in stages:
-            assert histograms[f"{name}.seconds"]["count"] == \
-                timers[name]["count"]
+            hist = histograms[name]
+            assert sum(hist["counts"]) == hist["count"] > 0
+            assert 0 <= hist["min"] <= hist["sum"] / hist["count"] \
+                <= hist["max"] <= hist["sum"]
 
 
 class TestJournalAppendReturnsSeq:

@@ -141,12 +141,14 @@ class TestRobustnessOptions:
 
         record = json.loads(path.read_text())
         counters = record["metrics"]["counters"]
-        timers = record["metrics"]["timers"]
+        histograms = record["metrics"]["histograms"]
+        assert "timers" not in record["metrics"]
         assert counters[f"phy.{radio}.packets"] == 1
         assert counters["engine.tasks.ok"] == 1
         for stage in ("engine.task", f"phy.{radio}.encode",
-                      f"phy.{radio}.channel", f"phy.{radio}.decode"):
-            assert timers[stage]["count"] > 0
+                      f"phy.{radio}.rng", f"phy.{radio}.channel",
+                      f"phy.{radio}.decode"):
+            assert histograms[f"{stage}.seconds"]["count"] > 0
         assert record["timing"]["n_failed"] == 0
         assert record["tasks"][0]["status"] == "ok"
 

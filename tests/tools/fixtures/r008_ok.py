@@ -5,7 +5,7 @@ from repro import obs
 
 
 def decode_timed(samples):
-    with obs.timed("phy.wifi.decode"):
+    with obs.timed("phy.wifi.decode.seconds"):
         result = decode(samples)
     return result
 

@@ -8,6 +8,6 @@ def record(prefix):
     obs.inc("mac.slost.singles")  # typo'd literal counter
     obs.inc(f"{prefix}.stag.ok")  # template matches no declared pattern
     obs.set_gauge("service.queue.depth.extra", 1)  # two segments after *
-    obs.observe_hist("engine.task.second", 0.1)  # typo'd histogram
-    with obs.timed("bench.fixture", hist="bench.fixture.nanos"):
-        pass  # hist keyword routes to an undeclared histogram name
+    obs.observe("engine.task.second", 0.1)  # typo'd histogram
+    with obs.timed("bench.fixture.nanos"):
+        pass  # bench histograms are declared as bench.*.seconds

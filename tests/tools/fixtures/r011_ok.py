@@ -8,8 +8,8 @@ def record(prefix, stage):
     obs.inc("mac.rounds")
     obs.inc(f"{prefix}.stage.{stage}")
     obs.set_gauge("service.queue.depth", 3)
-    obs.observe_hist("engine.task.seconds", 0.1)
-    with obs.timed("bench.fixture"):
+    obs.observe("engine.task.seconds", 0.1)
+    with obs.timed("bench.fixture.seconds"):
         pass
-    with obs.timed(prefix + ".decode", hist=prefix + ".decode.seconds"):
+    with obs.timed(prefix + ".decode.seconds"):
         pass
